@@ -67,8 +67,8 @@ def minkowski_norm(s) -> float:
 
     Zero for fully polarized light, s0^2 for natural light.
     """
-    s = as_stokes(s)
-    return float(s[0] ** 2 - s[1] ** 2 - s[2] ** 2 - s[3] ** 2)
+    s0, s1, s2, s3 = as_stokes(s).tolist()
+    return s0 * s0 - s1 * s1 - s2 * s2 - s3 * s3
 
 
 def apply_mueller(m, s) -> np.ndarray:
@@ -195,13 +195,14 @@ def lorentz_from_k(k, norm_tol: float = 1e-9, real_tol: float = 1e-9) -> np.ndar
     out = np.empty((4, 4), dtype=complex)
     out[0, 0] = k0 * k0c + kv @ kvc
     sym = 1j * (k0c * kv - k0 * kvc)          # 2*Im(k0*conj(kj)), real
-    asym = 1j * np.cross(kv, kvc)             # i*(kvec x conj(kvec)), real
+    # i*(kvec x conj(kvec)), real; np.cross's own ufunc loops, not its overhead
+    asym = 1j * (kv[[1, 2, 0]] * kvc[[2, 0, 1]] - kv[[2, 0, 1]] * kvc[[1, 2, 0]])
     out[0, 1:] = sym + asym
     out[1:, 0] = sym - asym
     out[1:, 1:] = (
         (k0 * k0c - kv @ kvc) * np.eye(3)
-        + np.outer(kv, kvc)
-        + np.outer(kvc, kv)
+        + kv[:, None] * kvc
+        + kvc[:, None] * kv
         - _cross_matrix(k0 * kvc + k0c * kv)
     )
     return _as_real_matrix(out, real_tol)

@@ -8,10 +8,10 @@ Subcommands:
 Exit codes:
   0  success (classify: lorentz-type)
   1  classify only: rotation-type
-  2  invalid element spec, bad arguments, or unparseable input
+  2  invalid element spec, bad arguments, unparseable or non-finite input
   3  simulate only: non-positive intensity
   4  recovery singular (degenerate trace, near-pi rotation, singular
-     normalization); a partial report goes to stderr
+     normalization, rebuild off the group); a partial report goes to stderr
   5  measurements incompatible with the requested model (not lorentzian /
      not rotation-type)
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +39,7 @@ from .errors import (
     DegenerateTrace,
     NearPiRotation,
     NonPositiveIntensity,
+    NonRealResult,
     NormViolation,
     NotRotation,
     NotRotationType,
@@ -110,6 +110,8 @@ def cmd_simulate(args) -> int:
         ms = simulate_measurements(element, args.intensity, noise)
     except NonPositiveIntensity as exc:
         return _fail(str(exc), 3)
+    except ValueError as exc:  # non-finite outputs, e.g. an overflowing boost
+        return _fail(str(exc), 2)
     print(ms.to_json())
     return 0
 
@@ -120,10 +122,6 @@ def _load_measurements(path: str) -> MeasurementSet:
     else:
         text = Path(path).read_text()
     return MeasurementSet.from_json(text)
-
-
-def _matrix_rows(m: np.ndarray) -> list:
-    return [list(row) for row in m]
 
 
 class NotLorentzianInput(Exception):
@@ -152,7 +150,7 @@ def _rotation_payload(ms: MeasurementSet, tol: float) -> dict:
 def _recover_payload(ms: MeasurementSet, model: str, tol: float) -> dict:
     """Build the report dict for one measurement set; raises on failure."""
     if model == "raw":
-        return {"matrix": _matrix_rows(reconstruct_mueller(ms))}
+        return {"matrix": reconstruct_mueller(ms)}
     if model == "rotation":
         return _rotation_payload(ms, tol)
     if model == "lorentz":
@@ -171,7 +169,7 @@ def _recover_payload(ms: MeasurementSet, model: str, tol: float) -> dict:
     else:
         residuals = lorentz_residuals(ms)
         payload.update({
-            "matrix": _matrix_rows(matrix),
+            "matrix": matrix,
             "lorentz_residuals": residuals.as_array(),
             "max_normalized_residual": residuals.normalized_max,
         })
@@ -186,7 +184,7 @@ def _recover_payload(ms: MeasurementSet, model: str, tol: float) -> dict:
 def _partial_report(ms: MeasurementSet, message: str) -> str:
     return jsonio.dumps({
         "error": message,
-        "matrix": _matrix_rows(reconstruct_mueller(ms)),
+        "matrix": reconstruct_mueller(ms),
         "lorentz_residuals": lorentz_residuals(ms).as_array(),
     })
 
@@ -209,7 +207,7 @@ def _recover_one(path: str, model: str, tol: float) -> tuple[int, str, str]:
         return 5, "", report
     except (NotRotationType, NotRotation) as exc:
         return 5, "", _partial_report(ms, f"{type(exc).__name__}: {exc}")
-    except (DegenerateTrace, NearPiRotation, SingularNormalization) as exc:
+    except (DegenerateTrace, NearPiRotation, SingularNormalization, NormViolation, NonRealResult) as exc:
         return 4, "", _partial_report(ms, f"{type(exc).__name__}: {exc}")
     return 0, jsonio.dumps(payload), ""
 
@@ -235,20 +233,17 @@ def _recover_batch(args) -> int:
     if not inputs:
         return _fail(f"no .json files in {directory}", 2)
 
-    def process(path: Path):
-        return path, _recover_one(str(path), args.model, args.tol)
-
     worst = 0
-    with ThreadPoolExecutor(max_workers=min(8, len(inputs))) as pool:
-        for path, (code, out, err) in pool.map(process, inputs):
-            if code == 0:
-                path.with_name(path.stem + ".recovery.json").write_text(out + "\n")
-                print(f"{path.name}: ok")
-            else:
-                print(f"{path.name}: failed (exit {code})")
-                if err:
-                    print(err, file=sys.stderr)
-            worst = max(worst, code)
+    for path in inputs:
+        code, out, err = _recover_one(str(path), args.model, args.tol)
+        if code == 0:
+            path.with_name(path.stem + ".recovery.json").write_text(out + "\n")
+            print(f"{path.name}: ok")
+        else:
+            print(f"{path.name}: failed (exit {code})")
+            if err:
+                print(err, file=sys.stderr)
+        worst = max(worst, code)
     return worst
 
 
@@ -296,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("input", nargs="?", default="-", help="measurement JSON file, '-' for stdin")
     rec.add_argument("--model", choices=("auto", "rotation", "lorentz", "raw"), default="auto")
     rec.add_argument("--tol", type=float, default=1e-9, help="classification tolerance (default 1e-9)")
-    rec.add_argument("--batch", metavar="DIR", help="recover every .json file in DIR concurrently")
+    rec.add_argument("--batch", metavar="DIR", help="recover every .json file in DIR, one after another")
     rec.set_defaults(func=cmd_recover)
 
     cls = sub.add_parser("classify", help="classify measurements by Lorentz type")

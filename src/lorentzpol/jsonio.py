@@ -24,7 +24,19 @@ def format_number(x) -> str:
 
 
 def dumps(obj) -> str:
-    """Serialize dict/list/str/number/None with fixed float formatting."""
+    """Serialize dict/list/str/number/None with fixed float formatting.
+
+    Float arrays up to 2-D are formatted one row at a time, to the same bytes
+    as the element-wise path; a finite double never prints an "n".
+    """
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim <= 2:
+        if obj.ndim == 0:
+            return format_number(obj.item())
+        rows = obj.tolist() if obj.ndim == 2 else [obj.tolist()]
+        text = ", ".join(["[" + ", ".join(["%.17g"] * len(row)) % tuple(row) + "]" for row in rows])
+        if "n" in text:  # nan or inf
+            format_number(obj[~np.isfinite(obj)][0])  # raises format_number's ValueError
+        return text if obj.ndim == 1 else "[" + text + "]"
     if obj is None:
         return "null"
     if isinstance(obj, str):

@@ -18,10 +18,14 @@ rotation content.  The normalized spinor parameter is then
 and the vector parameter q = (M - i*N)/delta follows without the sign
 ambiguity.  delta = 0 (trace-free elements, e.g. pi rotations composed
 with boosts) is a hard singularity of the method.
+
+Recovery is a single pass: the 16 outputs are read once, and the trace sum,
+delta, M, N and q all come from that read; Lambda itself is never built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +86,26 @@ def lambda_from_mueller(m) -> np.ndarray:
     return BAR_DELTA @ as_mueller(m)
 
 
-def _trace_sum(ms: MeasurementSet) -> float:
-    f, a, b, c = ms.outputs()
-    return float(f[0] + (a[1] - f[1]) + (b[2] - f[2]) + (c[3] - f[3]))
+def _read(ms: MeasurementSet) -> tuple[float, list, list, list]:
+    """The 16 outputs read once as floats: the trace sum and the numerators
+    of M, N and Im q (the last grouped as in recover_q's formula)."""
+    (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
+        s.tolist() for s in ms.outputs()
+    )
+    trace_sum = f0 + (a1 - f1) + (b2 - f2) + (c3 - f3)
+    m = [f0 - f1 - a0, f0 - f2 - b0, f0 - f3 - c0]
+    n = [f2 - f3 - c2 + b3, f3 - f1 - a3 + c1, f1 - f2 - b1 + a2]
+    q_im = [(f2 - f3) - (c2 - b3), (f3 - f1) - (a3 - c1), (f1 - f2) - (b1 - a2)]
+    return trace_sum, m, n, q_im
+
+
+def _delta(trace_sum: float, intensity: float, eps: float = 1e-10) -> float:
+    ratio = trace_sum / intensity
+    if ratio <= eps:
+        raise DegenerateTrace(
+            f"matrix trace {ratio!r} is not positive; cannot extract delta"
+        )
+    return math.sqrt(ratio) / 2.0
 
 
 def delta_from_trace(ms: MeasurementSet, eps: float = 1e-10) -> float:
@@ -94,43 +115,32 @@ def delta_from_trace(ms: MeasurementSet, eps: float = 1e-10) -> float:
     root.  Raises DegenerateTrace when trace_sum / I <= eps: the rest of
     the extraction divides by delta.
     """
-    ratio = _trace_sum(ms) / ms.intensity
-    if ratio <= eps:
-        raise DegenerateTrace(
-            f"matrix trace {ratio!r} is not positive; cannot extract delta"
-        )
-    return float(np.sqrt(ratio) / 2.0)
+    return _delta(_read(ms)[0], ms.intensity, eps)
 
 
 def mn_from_antisymmetric(ms: MeasurementSet, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Boost vector M and rotation vector N from the antisymmetric part."""
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    f, a, b, c = ms.outputs()
+    _, m, n, _ = _read(ms)
     scale = 4.0 * ms.intensity * delta
-    mvec = np.array([
-        f[0] - f[1] - a[0],
-        f[0] - f[2] - b[0],
-        f[0] - f[3] - c[0],
-    ]) / scale
-    nvec = np.array([
-        f[2] - f[3] - c[2] + b[3],
-        f[3] - f[1] - a[3] + c[1],
-        f[1] - f[2] - b[1] + a[2],
-    ]) / scale
-    return mvec, nvec
+    return np.array(m) / scale, np.array(n) / scale
+
+
+def _extract(ms: MeasurementSet) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """The single pass: (trace_sum, delta, M, N, q) from one read."""
+    trace_sum, m, n, q_im = _read(ms)
+    delta = _delta(trace_sum, ms.intensity)
+    scale = 4.0 * ms.intensity * delta
+    m = np.array(m)
+    q = (m - 1j * np.array(q_im)) / trace_sum
+    return trace_sum, delta, m / scale, np.array(n) / scale, q
 
 
 def recovery_intermediates(ms: MeasurementSet) -> RecoveryIntermediates:
-    delta = delta_from_trace(ms)
-    mvec, nvec = mn_from_antisymmetric(ms, delta)
-    return RecoveryIntermediates(
-        delta=delta,
-        mvec=mvec,
-        nvec=nvec,
-        lambda_matrix=lambda_from_mueller(reconstruct_mueller(ms)),
-        trace_sum=_trace_sum(ms),
-    )
+    trace_sum, delta, mvec, nvec, _ = _extract(ms)
+    lambda_matrix = lambda_from_mueller(reconstruct_mueller(ms))
+    return RecoveryIntermediates(delta, mvec, nvec, lambda_matrix, trace_sum)
 
 
 def _assemble_k(delta: float, mvec: np.ndarray, nvec: np.ndarray) -> np.ndarray:
@@ -146,8 +156,8 @@ def _assemble_k(delta: float, mvec: np.ndarray, nvec: np.ndarray) -> np.ndarray:
 
 def recover_k(ms: MeasurementSet) -> np.ndarray:
     """Normalized spinor parameter of the measured element, canonical sign."""
-    inter = recovery_intermediates(ms)
-    return _assemble_k(inter.delta, inter.mvec, inter.nvec)
+    _, delta, mvec, nvec, _ = _extract(ms)
+    return _assemble_k(delta, mvec, nvec)
 
 
 def recover_q(ms: MeasurementSet) -> np.ndarray:
@@ -162,39 +172,23 @@ def recover_q(ms: MeasurementSet) -> np.ndarray:
     Equal to (M - i*N)/delta, and consistent with recover_k through
     i*q = kvec/k0.  Shares the degeneracy guards of recover_k.
     """
-    delta = delta_from_trace(ms)
-    mvec, nvec = mn_from_antisymmetric(ms, delta)
+    _, delta, mvec, nvec, q = _extract(ms)
     _assemble_k(delta, mvec, nvec)  # parity with recover_k's singularity guard
-    f, a, b, c = ms.outputs()
-    numerators = np.array([
-        (f[0] - f[1] - a[0]) - 1j * ((f[2] - f[3]) - (c[2] - b[3])),
-        (f[0] - f[2] - b[0]) - 1j * ((f[3] - f[1]) - (a[3] - c[1])),
-        (f[0] - f[3] - c[0]) - 1j * ((f[1] - f[2]) - (b[1] - a[2])),
-    ])
-    return numerators / _trace_sum(ms)
+    return q
 
 
 def recover_parameters(ms: MeasurementSet) -> RecoveryResult:
     """Run the whole chain and quantify the rebuild error.
 
-    Recovers (delta, M, N, k, q), rebuilds the matrix from k, and reports
-    the max elementwise deviation from the directly reconstructed matrix
-    together with the Minkowski residuals of the raw measurements.
+    Recovers (delta, M, N, k, q) in one pass over the outputs, rebuilds the
+    matrix from k, and reports the max elementwise deviation from the
+    directly reconstructed matrix together with the Minkowski residuals of
+    the raw measurements.
     """
-    inter = recovery_intermediates(ms)
-    k = _assemble_k(inter.delta, inter.mvec, inter.nvec)
-    q = recover_q(ms)
-    rebuilt = lorentz_from_k(k)
-    deviation = float(np.abs(rebuilt - reconstruct_mueller(ms)).max())
-    return RecoveryResult(
-        delta=inter.delta,
-        mvec=inter.mvec,
-        nvec=inter.nvec,
-        k=k,
-        q=q,
-        round_trip_max_dev=deviation,
-        residuals=lorentz_residuals(ms),
-    )
+    _, delta, mvec, nvec, q = _extract(ms)
+    k = _assemble_k(delta, mvec, nvec)
+    deviation = float(np.abs(lorentz_from_k(k) - reconstruct_mueller(ms)).max())
+    return RecoveryResult(delta, mvec, nvec, k, q, deviation, lorentz_residuals(ms))
 
 
 def verify_round_trip(ms: MeasurementSet, tol: float = 1e-9) -> RoundTripReport:

@@ -17,12 +17,13 @@ are byte-stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jsonio
-from .algebra import MINKOWSKI_METRIC, as_mueller, as_stokes
+from .algebra import as_mueller, as_stokes, minkowski_norm
 from .errors import NonPositiveIntensity
 
 
@@ -53,6 +54,8 @@ class MeasurementSet:
             raise NonPositiveIntensity(f"intensity must be > 0, got {self.intensity}")
         for name in ("f", "a", "b", "c"):
             object.__setattr__(self, name, as_stokes(getattr(self, name)))
+        if not (math.isfinite(self.intensity) and np.isfinite(self.outputs()).all()):
+            raise ValueError("measurements must be finite: NaN or Inf in intensity or outputs")
 
     def outputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.f, self.a, self.b, self.c
@@ -143,9 +146,5 @@ class LorentzResiduals:
 
 def lorentz_residuals(ms: MeasurementSet) -> LorentzResiduals:
     i2 = ms.intensity ** 2
-
-    def quad(s):
-        return float(s @ MINKOWSKI_METRIC @ s)
-
-    r = [quad(ms.f) - i2, quad(ms.a), quad(ms.b), quad(ms.c)]
+    r = [minkowski_norm(ms.f) - i2, minkowski_norm(ms.a), minkowski_norm(ms.b), minkowski_norm(ms.c)]
     return LorentzResiduals(*r, normalized_max=max(abs(x) for x in r) / i2)

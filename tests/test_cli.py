@@ -177,6 +177,18 @@ def test_recover_near_pi_rotation_exit_code(tmp_path, capsys):
     assert "NearPiRotation" in json.loads(err)["error"]
 
 
+def test_recover_rebuild_failure_exit_code(tmp_path, capsys):
+    # at beta = 25, F0 and F3 round to the same double: the residuals are
+    # exactly (-I^2, 0, 0, 0), so tol 1 admits the set, and the rebuild from
+    # k then fails its norm check after cancellation
+    path = tmp_path / "boost25.json"
+    path.write_text(lp.simulate_measurements(lp.boost_mueller(3, 25.0), 1.0).to_json())
+    code, out, err = run_cli(capsys, "recover", str(path), "--model", "lorentz", "--tol", "1")
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"].startswith(("NormViolation", "NonRealResult"))
+
+
 def test_recover_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -185,6 +197,49 @@ def test_recover_parse_errors(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text('{"intensity": 1.0}')
     assert run_cli(capsys, "recover", str(empty))[0] == 2
+
+
+NON_FINITE_INPUTS = {
+    "nan_in_f": '{"intensity": 1, "outputs": {"F": [NaN, 0, 0, 0], "A": [1, 1, 0, 0],'
+                ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',
+    "infinite_intensity": '{"intensity": Infinity, "outputs": {"F": [1, 0, 0, 0],'
+                          ' "A": [1, 1, 0, 0], "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_INPUTS))
+@pytest.mark.parametrize("command", [("recover", "--model", "auto"), ("recover", "--model", "lorentz"),
+                                     ("classify",)])
+def test_non_finite_input_exits_2(tmp_path, capsys, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_text(NON_FINITE_INPUTS[name])
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
+def test_simulate_overflowing_boost_exits_2():
+    result = subprocess.run(
+        [sys.executable, "-m", "lorentzpol", "simulate", "--boost", "3", "--beta", "800"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert "error: measurements must be finite" in result.stderr
+
+
+def test_batch_reports_non_finite_file_and_continues(tmp_path, capsys):
+    write_measurements(tmp_path, lp.boost_mueller(3, 0.5), name="a_good.json")
+    (tmp_path / "b_nan.json").write_text(NON_FINITE_INPUTS["nan_in_f"])
+    write_measurements(tmp_path, np.eye(4), name="c_good.json")
+    code, out, err = run_cli(capsys, "recover", "--batch", str(tmp_path))
+    assert code == 2
+    assert out.splitlines() == ["a_good.json: ok", "b_nan.json: failed (exit 2)", "c_good.json: ok"]
+    assert "finite" in err
+    assert (tmp_path / "c_good.recovery.json").exists()
+    assert not (tmp_path / "b_nan.recovery.json").exists()
 
 
 def test_classify_exit_codes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lorentzpol as lp
@@ -39,6 +40,17 @@ def test_delta_from_trace_values():
 def test_delta_from_trace_degenerate():
     with pytest.raises(lp.DegenerateTrace):
         lp.delta_from_trace(_measure(np.diag([1.0, -1.0, -1.0, 1.0])))
+
+
+@pytest.mark.parametrize("gap, singular", [(2e-5, False), (5e-6, True)])
+def test_delta_from_trace_documented_boundary(gap, singular):
+    # trace_sum / I = (pi - theta)^2 for a rotation near pi; the cut is 1e-10
+    ms = _measure(lp.rotation_mueller(2, np.pi - gap))
+    if singular:
+        with pytest.raises(lp.DegenerateTrace):
+            lp.delta_from_trace(ms)
+    else:
+        assert lp.delta_from_trace(ms) == pytest.approx(gap / 2.0, rel=1e-3)
 
 
 def test_mn_identity_and_boost():
@@ -197,3 +209,63 @@ def test_recover_parameters_result_fields():
     assert list(payload) == [
         "delta", "M", "N", "k", "q", "round_trip_max_dev", "lorentz_residuals",
     ]
+
+
+@st.composite
+def measurement_sets(draw):
+    """Measurements of a random Lorentz-type element at a random intensity,
+    optionally noisy, so the outputs are generic doubles."""
+    k = lp.k_from_q(draw(vector_parameters()))
+    intensity = draw(st.floats(0.25, 4.0))
+    sigma = draw(st.sampled_from([0.0, 1e-9, 1e-4]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return lp.simulate_measurements(lp.lorentz_from_k(k), intensity, lp.NoiseSpec(sigma, seed))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+@settings(max_examples=200)
+@given(measurement_sets())
+def test_one_pass_parity_with_stage_functions(ms):
+    result = lp.recover_parameters(ms)
+    delta = lp.delta_from_trace(ms)
+    mvec, nvec = lp.mn_from_antisymmetric(ms, delta)
+    assert _bits(result.delta) == _bits(delta)
+    assert _bits(result.mvec) == _bits(mvec)
+    assert _bits(result.nvec) == _bits(nvec)
+    assert _bits(result.k) == _bits(lp.recover_k(ms))
+    assert _bits(result.q) == _bits(lp.recover_q(ms))
+    inter = lp.recovery_intermediates(ms)
+    assert _bits(inter.delta) == _bits(delta)
+    assert _bits(inter.mvec) == _bits(mvec)
+    assert _bits(inter.nvec) == _bits(nvec)
+
+
+@settings(max_examples=200)
+@given(measurement_sets())
+def test_one_pass_matches_componentwise_formulas(ms):
+    # the formula of recover_q's docstring, term by term
+    f, a, b, c = ms.outputs()
+    trace_sum = float(f[0] + (a[1] - f[1]) + (b[2] - f[2]) + (c[3] - f[3]))
+    numerators = np.array([
+        (f[0] - f[1] - a[0]) - 1j * ((f[2] - f[3]) - (c[2] - b[3])),
+        (f[0] - f[2] - b[0]) - 1j * ((f[3] - f[1]) - (a[3] - c[1])),
+        (f[0] - f[3] - c[0]) - 1j * ((f[1] - f[2]) - (b[1] - a[2])),
+    ])
+    q = lp.recover_q(ms)
+    assert _bits(q) == _bits(numerators / trace_sum)
+    # the antisymmetric layout of the module docstring, scaled by 4*I*delta
+    result = lp.recover_parameters(ms)
+    assert _bits(result.delta) == _bits(float(np.sqrt(trace_sum / ms.intensity) / 2.0))
+    scale = 4.0 * ms.intensity * result.delta
+    assert _bits(result.mvec) == _bits(np.array([
+        f[0] - f[1] - a[0], f[0] - f[2] - b[0], f[0] - f[3] - c[0],
+    ]) / scale)
+    assert _bits(result.nvec) == _bits(np.array([
+        f[2] - f[3] - c[2] + b[3], f[3] - f[1] - a[3] + c[1], f[1] - f[2] - b[1] + a[2],
+    ]) / scale)
+    assert _bits(lp.recovery_intermediates(ms).trace_sum) == _bits(trace_sum)
+    # and (M - iN)/delta up to rounding
+    assert np.abs(q - (result.mvec - 1j * result.nvec) / result.delta).max() < 1e-12

@@ -73,6 +73,23 @@ def test_measurement_set_validation():
         lp.MeasurementSet(1.0, np.zeros(3), np.zeros(4), np.zeros(4), np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["f", "a", "b", "c"])
+def test_measurement_set_rejects_non_finite_outputs(bad, where):
+    outputs = {name: np.ones(4) for name in "fabc"}
+    outputs[where][2] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        lp.MeasurementSet(1.0, **outputs)
+
+
+def test_measurement_set_rejects_non_finite_intensity():
+    with pytest.raises(ValueError, match="must be finite"):
+        lp.MeasurementSet(np.inf, *[np.ones(4)] * 4)
+    for bad in (np.nan, -np.inf):  # not > 0, so reported as non-positive
+        with pytest.raises(lp.NonPositiveIntensity):
+            lp.MeasurementSet(bad, *[np.ones(4)] * 4)
+
+
 def test_reconstruct_identity_and_boost():
     assert_allclose(lp.reconstruct_mueller(lp.simulate_measurements(np.eye(4), 1.0)), np.eye(4))
     boost = lp.boost_mueller(3, LN2)

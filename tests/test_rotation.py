@@ -71,6 +71,17 @@ def test_recover_quaternion_near_pi():
         lp.recover_quaternion(np.diag([1.0, -1.0, -1.0]))  # pi about axis 1
 
 
+@pytest.mark.parametrize("gap, singular", [(2e-4, False), (5e-5, True)])
+def test_recover_quaternion_documented_pi_boundary(gap, singular):
+    # trace + 1 = (pi - theta)^2 near pi; the cut is trace + 1 <= 1e-8
+    block = lp.rotation_mueller(1, np.pi - gap)[1:, 1:]
+    if singular:
+        with pytest.raises(lp.NearPiRotation):
+            lp.recover_quaternion(block)
+    else:
+        assert lp.recover_quaternion(block)[0] == pytest.approx(gap / 2.0, rel=1e-6)
+
+
 def test_recover_quaternion_rejects_non_rotations():
     with pytest.raises(lp.NotRotation):
         lp.recover_quaternion(2.0 * np.eye(3))
