@@ -30,15 +30,6 @@ from .errors import NonRealResult, NormViolation, SingularParameter
 
 MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
-# Sign-flip symbol applied to the rows of a Mueller matrix (index lowering
-# on the output slot).  Numerically the same matrix as the metric.
-BAR_DELTA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-LEVI_CIVITA = np.zeros((3, 3, 3))
-for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)]:
-    LEVI_CIVITA[_i, _j, _k] = _s
-
 
 class MuellerClass(enum.Enum):
     """Classification of a Mueller matrix."""
@@ -142,26 +133,8 @@ def boost_mueller(axis: int, beta: float) -> np.ndarray:
 
 def spinor_norm(k) -> complex:
     """Bilinear invariant k0^2 + kvec.kvec; equals 1 for normalized k."""
-    k = np.asarray(k, dtype=complex)
-    return complex(k[0] ** 2 + np.dot(k[1:], k[1:]))
-
-
-def _as_real_matrix(m: np.ndarray, tol: float) -> np.ndarray:
-    imag_max = float(np.abs(m.imag).max())
-    if imag_max > tol:
-        raise NonRealResult(
-            f"matrix has imaginary residue {imag_max:.3e} (tolerance {tol:.1e})"
-        )
-    return np.ascontiguousarray(m.real)
-
-
-def _cross_matrix(w: np.ndarray) -> np.ndarray:
-    # entries eps_ijl * w_l
-    return np.array([
-        [0.0, w[2], -w[1]],
-        [-w[2], 0.0, w[0]],
-        [w[1], -w[0], 0.0],
-    ], dtype=complex)
+    k0, k1, k2, k3 = np.asarray(k, dtype=complex).tolist()
+    return k0 * k0 + k1 * k1 + k2 * k2 + k3 * k3
 
 
 def lorentz_from_k(k, norm_tol: float = 1e-9, real_tol: float = 1e-9) -> np.ndarray:
@@ -176,9 +149,9 @@ def lorentz_from_k(k, norm_tol: float = 1e-9, real_tol: float = 1e-9) -> np.ndar
                   - eps_ijl * 2*Re(k0*conj(kl))
 
     k and -k give the same matrix.  The result preserves the Minkowski form
-    (L^T g L = g), has determinant +1 and L[0,0] >= 1.  Entries are computed
-    in complex arithmetic and asserted real; a residue above real_tol means
-    the input was not a valid parameter.
+    (L^T g L = g), has determinant +1 and L[0,0] >= 1.  The entries are Python
+    complex scalars from one ``k.tolist()``, asserted real; an imaginary residue
+    above real_tol (or NaN) means the input was not a valid parameter.
 
     Raises NormViolation unless |k0^2 + kvec.kvec - 1| < norm_tol, and
     NonRealResult if the imaginary residue survives.
@@ -190,22 +163,27 @@ def lorentz_from_k(k, norm_tol: float = 1e-9, real_tol: float = 1e-9) -> np.ndar
     if abs(norm - 1.0) >= norm_tol:
         raise NormViolation(f"k0^2 + kvec.kvec = {norm!r}, expected 1")
 
-    k0, kv = k[0], k[1:]
-    k0c, kvc = np.conj(k0), np.conj(kv)
-    out = np.empty((4, 4), dtype=complex)
-    out[0, 0] = k0 * k0c + kv @ kvc
-    sym = 1j * (k0c * kv - k0 * kvc)          # 2*Im(k0*conj(kj)), real
-    # i*(kvec x conj(kvec)), real; np.cross's own ufunc loops, not its overhead
-    asym = 1j * (kv[[1, 2, 0]] * kvc[[2, 0, 1]] - kv[[2, 0, 1]] * kvc[[1, 2, 0]])
-    out[0, 1:] = sym + asym
-    out[1:, 0] = sym - asym
-    out[1:, 1:] = (
-        (k0 * k0c - kv @ kvc) * np.eye(3)
-        + kv[:, None] * kvc
-        + kvc[:, None] * kv
-        - _cross_matrix(k0 * kvc + k0c * kv)
+    k0, k1, k2, k3 = k.tolist()
+    c0, c1, c2, c3 = k0.conjugate(), k1.conjugate(), k2.conjugate(), k3.conjugate()
+    a, b = k0 * c0, k1 * c1 + k2 * c2 + k3 * c3
+    # 2*Im(k0*conj(kj)), i*(kvec x conj(kvec))_j, 2*Re(k0*conj(kl)), 2*Re(ki*conj(kj))
+    s1, s2, s3 = 1j * (c0 * k1 - k0 * c1), 1j * (c0 * k2 - k0 * c2), 1j * (c0 * k3 - k0 * c3)
+    x1, x2, x3 = 1j * (k2 * c3 - k3 * c2), 1j * (k3 * c1 - k1 * c3), 1j * (k1 * c2 - k2 * c1)
+    w1, w2, w3 = k0 * c1 + c0 * k1, k0 * c2 + c0 * k2, k0 * c3 + c0 * k3
+    r12, r13, r23 = k1 * c2 + c1 * k2, k1 * c3 + c1 * k3, k2 * c3 + c2 * k3
+    out = (
+        a + b, s1 + x1, s2 + x2, s3 + x3,
+        s1 - x1, a - b + k1 * c1 + c1 * k1, r12 - w3, r13 + w2,
+        s2 - x2, r12 + w3, a - b + k2 * c2 + c2 * k2, r23 - w1,
+        s3 - x3, r13 - w2, r23 + w1, a - b + k3 * c3 + c3 * k3,
     )
-    return _as_real_matrix(out, real_tol)
+    # a NaN anywhere in k reaches L[0,0], and max() keeps a NaN that comes first
+    imag_max = max([abs(z.imag) for z in out])
+    if not imag_max <= real_tol:
+        raise NonRealResult(
+            f"matrix has imaginary residue {imag_max:.3e} (tolerance {real_tol:.1e})"
+        )
+    return np.array([z.real for z in out]).reshape(4, 4)
 
 
 def k_from_q(q) -> np.ndarray:
@@ -241,15 +219,23 @@ def canonical_spinor_sign(k) -> np.ndarray:
     (Im k0, Re k1, Im k1, Re k2, Im k2, Re k3, Im k3) is made positive.
     """
     k = np.asarray(k, dtype=complex)
-    ladder = np.empty(8)
-    ladder[0::2] = k.real
-    ladder[1::2] = k.imag
-    for x in ladder:
-        if x > 0.0:
-            return k
-        if x < 0.0:
-            return -k
+    for z in k.tolist():
+        for x in (z.real, z.imag):
+            if x > 0.0:
+                return k
+            if x < 0.0:
+                return -k
     return k
+
+
+def _det4(m) -> float:
+    """Determinant of a 4x4 nested list, by 2x2 minors of the top and bottom rows."""
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = m
+    s0, s1, s2 = a00 * a11 - a10 * a01, a00 * a12 - a10 * a02, a00 * a13 - a10 * a03
+    s3, s4, s5 = a01 * a12 - a11 * a02, a01 * a13 - a11 * a03, a02 * a13 - a12 * a03
+    c5, c4, c3 = a22 * a33 - a32 * a23, a21 * a33 - a31 * a23, a21 * a32 - a31 * a22
+    c2, c1, c0 = a20 * a33 - a30 * a23, a20 * a32 - a30 * a22, a20 * a31 - a30 * a21
+    return s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
 
 
 def is_lorentzian(m, tol: float = 1e-9) -> MuellerClass:
@@ -257,18 +243,27 @@ def is_lorentzian(m, tol: float = 1e-9) -> MuellerClass:
 
     LORENTZ when ||M^T g M - g||_max < tol * ||M||_max^2 together with
     det M > 0 and M[0,0] > 0; ROTATION when additionally the first row and
-    column equal (1, 0, 0, 0) within tol; NOT_LORENTZIAN otherwise.
+    column equal (1, 0, 0, 0) within tol; NOT_LORENTZIAN otherwise, also for
+    NaN.  All on Python floats from one ``m.tolist()``, det M in 2x2 minors.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    m = as_mueller(m)
-    scale = float(np.abs(m).max())
+    rows = as_mueller(m).tolist()
+    flat = rows[0] + rows[1] + rows[2] + rows[3]
+    scale = max(map(abs, flat))
     if scale == 0.0:
         return MuellerClass.NOT_LORENTZIAN
-    metric_dev = float(np.abs(m.T @ MINKOWSKI_METRIC @ m - MINKOWSKI_METRIC).max())
-    if metric_dev >= tol * scale * scale or np.linalg.det(m) <= 0.0 or m[0, 0] <= 0.0:
+    c0, c1, c2, c3 = zip(*rows)
+    # (M^T g M - g)[i, j] for j >= i; the matrix is symmetric
+    metric_dev = max([
+        abs(a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3] - g)
+        for a, b, g in ((c0, c0, 1.0), (c1, c1, -1.0), (c2, c2, -1.0), (c3, c3, -1.0),
+                        (c0, c1, 0.0), (c0, c2, 0.0), (c0, c3, 0.0),
+                        (c1, c2, 0.0), (c1, c3, 0.0), (c2, c3, 0.0))
+    ])
+    if not (metric_dev < tol * scale * scale and _det4(rows) > 0.0 and flat[0] > 0.0):
         return MuellerClass.NOT_LORENTZIAN
-    edge = np.concatenate(([m[0, 0] - 1.0], m[0, 1:], m[1:, 0]))
-    if float(np.abs(edge).max()) < tol * max(1.0, scale):
+    edge = max(abs(flat[0] - 1.0), *map(abs, flat[1:4]), *map(abs, c0[1:]))
+    if edge < tol * max(1.0, scale):
         return MuellerClass.ROTATION
     return MuellerClass.LORENTZ

@@ -8,7 +8,8 @@ Subcommands:
 Exit codes:
   0  success (classify: lorentz-type)
   1  classify only: rotation-type
-  2  invalid element spec, bad arguments, unparseable or non-finite input
+  2  invalid element spec, bad arguments, unparseable input, or measurements
+     outside the envelope (non-finite, or magnitudes out of range; see README)
   3  simulate only: non-positive intensity
   4  recovery singular (degenerate trace, near-pi rotation, singular
      normalization, rebuild off the group); a partial report goes to stderr
@@ -94,24 +95,24 @@ def build_element(args) -> np.ndarray:
         except ValueError as exc:
             raise SpecError(f"bad matrix entry: {exc}") from exc
         return np.array(values).reshape(4, 4)
-    except (ValueError, NormViolation, SingularParameter) as exc:
+    except (ValueError, NormViolation, NonRealResult, SingularParameter) as exc:
         raise SpecError(str(exc)) from exc
 
 
 def cmd_simulate(args) -> int:
-    try:
-        element = build_element(args)
-        noise = NoiseSpec(args.noise, args.seed)
-    except SpecError as exc:
-        return _fail(str(exc), 2)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    try:
-        ms = simulate_measurements(element, args.intensity, noise)
-    except NonPositiveIntensity as exc:
-        return _fail(str(exc), 3)
-    except ValueError as exc:  # non-finite outputs, e.g. an overflowing boost
-        return _fail(str(exc), 2)
+    # an overflowing element (a large --beta) ends in one error line, no RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            element = build_element(args)
+            noise = NoiseSpec(args.noise, args.seed)
+        except (SpecError, ValueError) as exc:
+            return _fail(str(exc), 2)
+        try:
+            ms = simulate_measurements(element, args.intensity, noise)
+        except NonPositiveIntensity as exc:
+            return _fail(str(exc), 3)
+        except ValueError as exc:  # non-finite or out-of-range outputs
+            return _fail(str(exc), 2)
     print(ms.to_json())
     return 0
 
@@ -167,13 +168,12 @@ def _recover_payload(ms: MeasurementSet, model: str, tol: float) -> dict:
     elif classification is MuellerClass.LORENTZ:
         payload.update(recover_parameters(ms).to_json_dict())
     else:
-        residuals = lorentz_residuals(ms)
+        trip = verify_round_trip(ms, tol)
         payload.update({
             "matrix": matrix,
-            "lorentz_residuals": residuals.as_array(),
-            "max_normalized_residual": residuals.normalized_max,
+            "lorentz_residuals": trip.residuals.as_array(),
+            "max_normalized_residual": trip.residuals.normalized_max,
         })
-        trip = verify_round_trip(ms, tol)
         if trip.max_deviation is not None:
             payload["round_trip_max_dev"] = trip.max_deviation
         else:

@@ -19,18 +19,19 @@ and the vector parameter q = (M - i*N)/delta follows without the sign
 ambiguity.  delta = 0 (trace-free elements, e.g. pi rotations composed
 with boosts) is a hard singularity of the method.
 
-Recovery is a single pass: the 16 outputs are read once, and the trace sum,
-delta, M, N and q all come from that read; Lambda itself is never built.
+Recovery is a single pass over one ``.tolist()`` of the 16 outputs; delta, M, N
+and k come from it as Python float and complex scalars, and Lambda is never built.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BAR_DELTA, as_mueller, canonical_spinor_sign, lorentz_from_k
+from .algebra import MINKOWSKI_METRIC, as_mueller, canonical_spinor_sign, lorentz_from_k
 from .errors import DegenerateTrace, LorentzpolError, SingularNormalization
 from .probes import LorentzResiduals, MeasurementSet, lorentz_residuals, reconstruct_mueller
 
@@ -83,7 +84,7 @@ class RoundTripReport:
 
 def lambda_from_mueller(m) -> np.ndarray:
     """Row-flipped matrix Lambda: row 0 kept, rows 1-3 negated."""
-    return BAR_DELTA @ as_mueller(m)
+    return MINKOWSKI_METRIC @ as_mueller(m)
 
 
 def _read(ms: MeasurementSet) -> tuple[float, list, list, list]:
@@ -127,31 +128,32 @@ def mn_from_antisymmetric(ms: MeasurementSet, delta: float) -> tuple[np.ndarray,
     return np.array(m) / scale, np.array(n) / scale
 
 
-def _extract(ms: MeasurementSet) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
-    """The single pass: (trace_sum, delta, M, N, q) from one read."""
+def _extract(ms: MeasurementSet) -> tuple[float, float, list, list, np.ndarray]:
+    """The single pass: (trace_sum, delta, M, N, q) from one read; M, N as float lists."""
     trace_sum, m, n, q_im = _read(ms)
     delta = _delta(trace_sum, ms.intensity)
     scale = 4.0 * ms.intensity * delta
-    m = np.array(m)
-    q = (m - 1j * np.array(q_im)) / trace_sum
-    return trace_sum, delta, m / scale, np.array(n) / scale, q
+    q = (np.array(m) - 1j * np.array(q_im)) / trace_sum
+    return trace_sum, delta, [x / scale for x in m], [x / scale for x in n], q
 
 
 def recovery_intermediates(ms: MeasurementSet) -> RecoveryIntermediates:
     trace_sum, delta, mvec, nvec, _ = _extract(ms)
     lambda_matrix = lambda_from_mueller(reconstruct_mueller(ms))
-    return RecoveryIntermediates(delta, mvec, nvec, lambda_matrix, trace_sum)
+    return RecoveryIntermediates(delta, np.array(mvec), np.array(nvec), lambda_matrix, trace_sum)
 
 
-def _assemble_k(delta: float, mvec: np.ndarray, nvec: np.ndarray) -> np.ndarray:
-    v = nvec + 1j * mvec
-    norm2 = delta ** 2 + np.dot(v, v)
+def _assemble_k(delta: float, mvec: list, nvec: list) -> np.ndarray:
+    v = [complex(n, m) for n, m in zip(nvec, mvec)]
+    # np.dot rounds the norm as the BLAS kernel does, which keeps emitted k where earlier
+    # releases put it (within 1 ulp); a Python sum would move it by up to 5 ulp
+    norm2 = delta ** 2 + complex(np.dot(v, v))
     if abs(norm2) < 1e-12:
         raise SingularNormalization(
             f"delta^2 + (N + iM).(N + iM) = {norm2!r} is singular"
         )
-    k = np.concatenate(([delta + 0j], v)) / np.sqrt(norm2)
-    return canonical_spinor_sign(k)
+    root = cmath.sqrt(norm2)
+    return canonical_spinor_sign(np.array([delta / root] + [z / root for z in v]))
 
 
 def recover_k(ms: MeasurementSet) -> np.ndarray:
@@ -188,12 +190,11 @@ def recover_parameters(ms: MeasurementSet) -> RecoveryResult:
     _, delta, mvec, nvec, q = _extract(ms)
     k = _assemble_k(delta, mvec, nvec)
     deviation = float(np.abs(lorentz_from_k(k) - reconstruct_mueller(ms)).max())
-    return RecoveryResult(delta, mvec, nvec, k, q, deviation, lorentz_residuals(ms))
+    return RecoveryResult(delta, np.array(mvec), np.array(nvec), k, q, deviation, lorentz_residuals(ms))
 
 
 def verify_round_trip(ms: MeasurementSet, tol: float = 1e-9) -> RoundTripReport:
     """Round-trip check that never raises: recovery errors go in the report."""
-    residuals = lorentz_residuals(ms)
     try:
         result = recover_parameters(ms)
     except LorentzpolError as exc:
@@ -201,12 +202,12 @@ def verify_round_trip(ms: MeasurementSet, tol: float = 1e-9) -> RoundTripReport:
             passed=False,
             max_deviation=None,
             tol=tol,
-            residuals=residuals,
+            residuals=lorentz_residuals(ms),
             error=f"{type(exc).__name__}: {exc}",
         )
     return RoundTripReport(
         passed=result.round_trip_max_dev < tol,
         max_deviation=result.round_trip_max_dev,
         tol=tol,
-        residuals=residuals,
+        residuals=result.residuals,
     )

@@ -17,14 +17,18 @@ are byte-stable.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jsonio
-from .algebra import as_mueller, as_stokes, minkowski_norm
+from .algebra import as_mueller, as_stokes
 from .errors import NonPositiveIntensity
+
+# Accepted: I in INTENSITY_RANGE, max|output| <= MAX_OUTPUT_RATIO * I.  Then no intermediate of the
+# chain overflows (outputs^2 <= 1e300) and no divisor (I^2, trace sum, 4*I*delta) underflows to 0.
+INTENSITY_RANGE = (1e-100, 1e100)
+MAX_OUTPUT_RATIO = 1e50
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,11 @@ class MeasurementSet:
             raise NonPositiveIntensity(f"intensity must be > 0, got {self.intensity}")
         for name in ("f", "a", "b", "c"):
             object.__setattr__(self, name, as_stokes(getattr(self, name)))
-        if not (math.isfinite(self.intensity) and np.isfinite(self.outputs()).all()):
-            raise ValueError("measurements must be finite: NaN or Inf in intensity or outputs")
+        limit = MAX_OUTPUT_RATIO * self.intensity  # NaN fails every comparison below
+        if not (INTENSITY_RANGE[0] <= self.intensity <= INTENSITY_RANGE[1]
+                and all(abs(x) <= limit for s in self.outputs() for x in s.tolist())):
+            raise ValueError("measurements must be finite and in range: need %g <= intensity <= %g"
+                             " and max|output| <= %g * intensity" % (*INTENSITY_RANGE, MAX_OUTPUT_RATIO))
 
     def outputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.f, self.a, self.b, self.c
@@ -116,13 +123,8 @@ def simulate_measurements(m, intensity: float, noise: NoiseSpec | None = None) -
 
 def reconstruct_mueller(ms: MeasurementSet) -> np.ndarray:
     """Exact linear inversion of the four-probe protocol."""
-    i = ms.intensity
-    m = np.empty((4, 4))
-    m[:, 0] = ms.f / i
-    m[:, 1] = (ms.a - ms.f) / i
-    m[:, 2] = (ms.b - ms.f) / i
-    m[:, 3] = (ms.c - ms.f) / i
-    return m
+    i, rows = ms.intensity, zip(*(s.tolist() for s in ms.outputs()))
+    return np.array([[f / i, (a - f) / i, (b - f) / i, (c - f) / i] for f, a, b, c in rows])
 
 
 @dataclass(frozen=True)
@@ -146,5 +148,7 @@ class LorentzResiduals:
 
 def lorentz_residuals(ms: MeasurementSet) -> LorentzResiduals:
     i2 = ms.intensity ** 2
-    r = [minkowski_norm(ms.f) - i2, minkowski_norm(ms.a), minkowski_norm(ms.b), minkowski_norm(ms.c)]
-    return LorentzResiduals(*r, normalized_max=max(abs(x) for x in r) / i2)
+    r = [s0 * s0 - s1 * s1 - s2 * s2 - s3 * s3
+         for s0, s1, s2, s3 in (s.tolist() for s in ms.outputs())]
+    r[0] -= i2
+    return LorentzResiduals(*r, normalized_max=max(map(abs, r)) / i2)

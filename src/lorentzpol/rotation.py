@@ -101,13 +101,17 @@ def recover_quaternion(r, ortho_tol: float = 1e-6, trace_eps: float = 1e-8) -> n
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"rotation matrix must have shape (3, 3), got {r.shape}")
-    ortho_dev = float(np.abs(r.T @ r - np.eye(3)).max())
-    det = float(np.linalg.det(r))
-    if ortho_dev > ortho_tol or abs(det - 1.0) > ortho_tol:
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows = r.tolist()
+    c0, c1, c2 = zip(*rows)
+    # (R^T R - 1)[i, j] for j >= i, and det R along the first row, on Python floats
+    ortho_dev = max([abs(a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - g) for a, b, g in (
+        (c0, c0, 1.0), (c1, c1, 1.0), (c2, c2, 1.0), (c0, c1, 0.0), (c0, c2, 0.0), (c1, c2, 0.0))])
+    det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
+    if not (ortho_dev <= ortho_tol and abs(det - 1.0) <= ortho_tol):
         raise NotRotation(
             f"not a proper rotation: |R^T R - 1| = {ortho_dev:.3e}, det = {det:.6f}"
         )
-    trace1 = float(np.trace(r)) + 1.0
+    trace1 = r00 + r11 + r22 + 1.0
     if trace1 <= trace_eps:
         raise NearPiRotation(
             f"trace + 1 = {trace1:.3e}: extraction singular near pi rotations"
@@ -115,9 +119,9 @@ def recover_quaternion(r, ortho_tol: float = 1e-6, trace_eps: float = 1e-8) -> n
     s = np.sqrt(trace1)
     return np.array([
         s / 2.0,
-        (r[2, 1] - r[1, 2]) / (2.0 * s),
-        (r[0, 2] - r[2, 0]) / (2.0 * s),
-        (r[1, 0] - r[0, 1]) / (2.0 * s),
+        (r21 - r12) / (2.0 * s),
+        (r02 - r20) / (2.0 * s),
+        (r10 - r01) / (2.0 * s),
     ])
 
 

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -7,6 +10,11 @@ import lorentzpol as lp
 
 settings.register_profile("numeric", deadline=None)
 settings.load_profile("numeric")
+
+# The CLI tests start `python -m lorentzpol` subprocesses; they import the tree
+# under test, as this process does through pyproject's pytest `pythonpath`.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @st.composite

@@ -60,6 +60,7 @@ def test_simulate_deterministic_bytes(capsys):
     (("simulate", "--quaternion", "1", "1", "0", "0"), 2),   # not unit norm
     (("simulate", "--matrix", "1", "2", "3"), 2),            # wrong count
     (("simulate", "--matrix", "identity", "--noise", "-1"), 2),
+    (("simulate", "--qparam", "nan", "0", "0"), 2),           # NaN k: NonRealResult
 ])
 def test_simulate_error_exit_codes(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
@@ -228,6 +229,64 @@ def test_simulate_overflowing_boost_exits_2():
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert "error: measurements must be finite" in result.stderr
+    assert len(result.stderr.splitlines()) == 1  # no numpy RuntimeWarnings before it
+
+
+def _identity_outputs(scale):
+    return (f'"F": [{scale}, 0, 0, 0], "A": [{scale}, {scale}, 0, 0], '
+            f'"B": [{scale}, 0, {scale}, 0], "C": [{scale}, 0, 0, {scale}]')
+
+
+# outside the envelope the chain would overflow or divide by zero: infinite
+# residuals in the JSON writer, OverflowError from I**2, and I**2 == 0
+OUT_OF_RANGE_INPUTS = {
+    "huge_outputs": '{"intensity": 1, "outputs": {' + _identity_outputs("1e200") + '}}',
+    "huge_intensity": '{"intensity": 1e200, "outputs": {' + _identity_outputs("1e200") + '}}',
+    "tiny_intensity": '{"intensity": 1e-300, "outputs": {' + _identity_outputs("1e-300") + '}}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_INPUTS))
+@pytest.mark.parametrize("command", [("recover", "--model", "auto"), ("recover", "--model", "lorentz"),
+                                     ("recover", "--model", "rotation"), ("classify",)])
+def test_out_of_range_input_exits_2(tmp_path, capsys, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_text(OUT_OF_RANGE_INPUTS[name])
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "in range" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_batch_reports_out_of_range_files(tmp_path, capsys):
+    write_measurements(tmp_path, np.eye(4), name="a_good.json")
+    for name, text in OUT_OF_RANGE_INPUTS.items():
+        (tmp_path / f"b_{name}.json").write_text(text)
+    code, out, err = run_cli(capsys, "recover", "--batch", str(tmp_path))
+    assert code == 2
+    assert out.splitlines() == ["a_good.json: ok"] + [
+        f"b_{name}.json: failed (exit 2)" for name in sorted(OUT_OF_RANGE_INPUTS)]
+    assert len(err.splitlines()) == 3 and all("in range" in line for line in err.splitlines())
+
+
+@pytest.mark.parametrize("intensity", [1e-100, 1e100])
+@pytest.mark.parametrize("seed", range(4))
+def test_envelope_corners_end_in_documented_codes(tmp_path, capsys, intensity, seed):
+    # outputs up to the largest allowed max|output| = 1e50 * I, at both
+    # intensity bounds: every model ends in a documented code with finite JSON
+    rng = np.random.default_rng(seed)
+    outputs = 1e50 * intensity * rng.uniform(-1.0, 1.0, (4, 4))
+    outputs[:, 0] = np.abs(outputs[:, 0])
+    ms = lp.MeasurementSet(intensity, *outputs)
+    path = tmp_path / "corner.json"
+    path.write_text(ms.to_json())
+    for tol in ("1e-9", "1e300"):  # 1e300 lets every gate pass, down to the rebuild
+        for model in ("auto", "lorentz", "rotation", "raw"):
+            code, out, err = run_cli(capsys, "recover", str(path), "--model", model, "--tol", tol)
+            assert code in (0, 4, 5)
+            json.loads(out or err, parse_constant=pytest.fail)
+        assert run_cli(capsys, "classify", str(path), "--tol", tol)[0] in (0, 1, 5)
 
 
 def test_batch_reports_non_finite_file_and_continues(tmp_path, capsys):
@@ -240,6 +299,23 @@ def test_batch_reports_non_finite_file_and_continues(tmp_path, capsys):
     assert "finite" in err
     assert (tmp_path / "c_good.recovery.json").exists()
     assert not (tmp_path / "b_nan.recovery.json").exists()
+
+
+def test_noisy_recover_computes_residuals_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(ms):
+        calls.append(ms)
+        return lp.lorentz_residuals(ms)
+
+    monkeypatch.setattr("lorentzpol.cli.lorentz_residuals", counted)
+    monkeypatch.setattr("lorentzpol.lorentz.lorentz_residuals", counted)
+    ms = lp.simulate_measurements(lp.boost_mueller(3, 0.5), 1.0, lp.NoiseSpec(1e-4, 3))
+    path = tmp_path / "noisy.json"
+    path.write_text(ms.to_json())
+    code, out, _ = run_cli(capsys, "recover", str(path))
+    assert code == 0 and json.loads(out)["classification"] == "not-lorentzian"
+    assert len(calls) == 1
 
 
 def test_classify_exit_codes(tmp_path, capsys):

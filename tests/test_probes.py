@@ -90,6 +90,19 @@ def test_measurement_set_rejects_non_finite_intensity():
             lp.MeasurementSet(bad, *[np.ones(4)] * 4)
 
 
+@pytest.mark.parametrize("intensity, ratio, ok", [
+    (1e-100, 1e50, True), (1e100, 1e50, True), (1.0, 0.0, True),
+    (1e-101, 1.0, False), (1e101, 1.0, False), (1.0, 2e50, False), (1e100, 2e50, False),
+])
+def test_measurement_set_magnitude_envelope(intensity, ratio, ok):
+    outputs = [np.full(4, ratio * intensity)] * 4
+    if ok:
+        lp.MeasurementSet(intensity, *outputs)
+    else:
+        with pytest.raises(ValueError, match="must be finite and in range"):
+            lp.MeasurementSet(intensity, *outputs)
+
+
 def test_reconstruct_identity_and_boost():
     assert_allclose(lp.reconstruct_mueller(lp.simulate_measurements(np.eye(4), 1.0)), np.eye(4))
     boost = lp.boost_mueller(3, LN2)
