@@ -89,7 +89,7 @@ def quaternion_to_rotation(n, norm_tol: float = 1e-9) -> np.ndarray:
     norm2 = float(np.dot(n, n))
     if abs(norm2 - 1.0) >= norm_tol:
         raise NormViolation(f"quaternion norm^2 = {norm2!r}, expected 1")
-    n0, n1, n2, n3 = n
+    n0, n1, n2, n3 = n.tolist()
     return np.array([
         [1 - 2 * (n2 * n2 + n3 * n3), -2 * n0 * n3 + 2 * n1 * n2, 2 * n0 * n2 + 2 * n1 * n3],
         [2 * n0 * n3 + 2 * n1 * n2, 1 - 2 * (n3 * n3 + n1 * n1), -2 * n0 * n1 + 2 * n2 * n3],
@@ -198,7 +198,7 @@ def k_from_q(q) -> np.ndarray:
         raise ValueError(f"vector parameter must have shape (3,), got {q.shape}")
     denom = 1.0 - np.dot(q, q)
     if abs(denom) < 1e-12:
-        raise SingularParameter(f"1 - q.q = {denom!r} is singular")
+        raise SingularParameter(f"1 - q.q = {complex(denom)!r} is singular")
     k0 = 1.0 / np.sqrt(denom)  # principal branch: Re(k0) >= 0
     k = np.concatenate(([k0], 1j * q * k0))
     return canonical_spinor_sign(k)

@@ -20,6 +20,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -138,9 +139,9 @@ def _rotation_payload(ms: MeasurementSet, tol: float) -> dict:
     block = rotation_from_measurements(ms, tol)
     # a loose --tol admits noisy data, so loosen the extraction gate with it
     quaternion = recover_quaternion(block, ortho_tol=max(1e-6, tol))
-    unit = quaternion / np.linalg.norm(quaternion)
-    rebuilt = embed_rotation(quaternion_to_rotation(unit))
-    deviation = float(np.abs(rebuilt - reconstruct_mueller(ms)).max())
+    unit = quaternion / math.sqrt(np.dot(quaternion, quaternion))  # np.linalg.norm's 1-D formula
+    rebuilt, direct = embed_rotation(quaternion_to_rotation(unit)).tolist(), reconstruct_mueller(ms).tolist()
+    deviation = max([abs(x - y) for r, d in zip(rebuilt, direct) for x, y in zip(r, d)])
     return {
         "quaternion": quaternion,
         "round_trip_max_dev": deviation,
@@ -266,6 +267,16 @@ def cmd_classify(args) -> int:
     }[classification]
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lorentzpol",
@@ -290,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("recover", help="recover matrix and parameters from measurements")
     rec.add_argument("input", nargs="?", default="-", help="measurement JSON file, '-' for stdin")
     rec.add_argument("--model", choices=("auto", "rotation", "lorentz", "raw"), default="auto")
-    rec.add_argument("--tol", type=float, default=1e-9, help="classification tolerance (default 1e-9)")
+    rec.add_argument("--tol", type=_tolerance, default=1e-9, help="classification tolerance (default 1e-9)")
     rec.add_argument("--batch", metavar="DIR", help="recover every .json file in DIR, one after another")
     rec.set_defaults(func=cmd_recover)
 
     cls = sub.add_parser("classify", help="classify measurements by Lorentz type")
     cls.add_argument("input", nargs="?", default="-", help="measurement JSON file, '-' for stdin")
-    cls.add_argument("--tol", type=float, default=1e-9, help="classification tolerance (default 1e-9)")
+    cls.add_argument("--tol", type=_tolerance, default=1e-9, help="classification tolerance (default 1e-9)")
     cls.set_defaults(func=cmd_classify)
     return parser
 

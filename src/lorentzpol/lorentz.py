@@ -19,8 +19,12 @@ and the vector parameter q = (M - i*N)/delta follows without the sign
 ambiguity.  delta = 0 (trace-free elements, e.g. pi rotations composed
 with boosts) is a hard singularity of the method.
 
-Recovery is a single pass over one ``.tolist()`` of the 16 outputs; delta, M, N
-and k come from it as Python float and complex scalars, and Lambda is never built.
+Recovery is a single pass over one ``.tolist()`` of the 16 outputs; delta, M, N,
+k and q come from it as Python float and complex scalars, and Lambda is never built.
+q = (a + i*b)/ts, with a = M numerator, b = 0.0 - Im numerator and ts the trace sum,
+is divided with numpy's own formula for a divisor ts + 0j: rat = 0.0/ts,
+scl = 1.0/(ts + 0.0*rat), re = (a + b*rat)*scl, im = (b - a*rat)*scl.  That keeps
+the bytes of the array division; complex(a, b)/ts would move them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .algebra import MINKOWSKI_METRIC, as_mueller, canonical_spinor_sign, lorentz_from_k
 from .errors import DegenerateTrace, LorentzpolError, SingularNormalization
-from .probes import LorentzResiduals, MeasurementSet, lorentz_residuals, reconstruct_mueller
+from .probes import LorentzResiduals, MeasurementSet, _mueller_rows, lorentz_residuals, reconstruct_mueller
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,11 @@ def _extract(ms: MeasurementSet) -> tuple[float, float, list, list, np.ndarray]:
     trace_sum, m, n, q_im = _read(ms)
     delta = _delta(trace_sum, ms.intensity)
     scale = 4.0 * ms.intensity * delta
-    q = (np.array(m) - 1j * np.array(q_im)) / trace_sum
+    # q = (m - i*q_im) / trace_sum in numpy's division formula (module docstring)
+    rat = 0.0 / trace_sum
+    scl = 1.0 / (trace_sum + 0.0 * rat)
+    q = np.array([complex((a + b * rat) * scl, (b - a * rat) * scl)
+                  for a, b in zip(m, [0.0 - x for x in q_im])])
     return trace_sum, delta, [x / scale for x in m], [x / scale for x in n], q
 
 
@@ -147,7 +155,8 @@ def _assemble_k(delta: float, mvec: list, nvec: list) -> np.ndarray:
     v = [complex(n, m) for n, m in zip(nvec, mvec)]
     # np.dot rounds the norm as the BLAS kernel does, which keeps emitted k where earlier
     # releases put it (within 1 ulp); a Python sum would move it by up to 5 ulp
-    norm2 = delta ** 2 + complex(np.dot(v, v))
+    va = np.array(v)
+    norm2 = delta ** 2 + complex(np.dot(va, va))
     if abs(norm2) < 1e-12:
         raise SingularNormalization(
             f"delta^2 + (N + iM).(N + iM) = {norm2!r} is singular"
@@ -189,7 +198,8 @@ def recover_parameters(ms: MeasurementSet) -> RecoveryResult:
     """
     _, delta, mvec, nvec, q = _extract(ms)
     k = _assemble_k(delta, mvec, nvec)
-    deviation = float(np.abs(lorentz_from_k(k) - reconstruct_mueller(ms)).max())
+    rebuilt, direct = lorentz_from_k(k).tolist(), _mueller_rows(ms)
+    deviation = max([abs(x - y) for r, d in zip(rebuilt, direct) for x, y in zip(r, d)])
     return RecoveryResult(delta, np.array(mvec), np.array(nvec), k, q, deviation, lorentz_residuals(ms))
 
 

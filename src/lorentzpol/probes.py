@@ -39,8 +39,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
+        if not (self.sigma >= 0.0 and np.isfinite(self.sigma)):
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,9 @@ class MeasurementSet:
         for name in ("f", "a", "b", "c"):
             object.__setattr__(self, name, as_stokes(getattr(self, name)))
         limit = MAX_OUTPUT_RATIO * self.intensity  # NaN fails every comparison below
+        values = self.f.tolist() + self.a.tolist() + self.b.tolist() + self.c.tolist()
         if not (INTENSITY_RANGE[0] <= self.intensity <= INTENSITY_RANGE[1]
-                and all(abs(x) <= limit for s in self.outputs() for x in s.tolist())):
+                and all(map(limit.__ge__, map(abs, values)))):
             raise ValueError("measurements must be finite and in range: need %g <= intensity <= %g"
                              " and max|output| <= %g * intensity" % (*INTENSITY_RANGE, MAX_OUTPUT_RATIO))
 
@@ -116,15 +117,20 @@ def simulate_measurements(m, intensity: float, noise: NoiseSpec | None = None) -
     probes = probe_set(intensity)
     outputs = [m @ p for p in probes]
     if noise is not None and noise.sigma > 0.0:
-        rng = np.random.default_rng(noise.seed)
-        outputs = [out + rng.normal(0.0, noise.sigma, 4) for out in outputs]
+        # one (4, 4) draw: the stream of four size-4 draws, one row per output
+        rows = np.random.default_rng(noise.seed).normal(0.0, noise.sigma, (4, 4))
+        outputs = [out + row for out, row in zip(outputs, rows)]
     return MeasurementSet(float(intensity), *outputs)
+
+
+def _mueller_rows(ms: MeasurementSet) -> list:
+    i, rows = ms.intensity, zip(*(s.tolist() for s in ms.outputs()))
+    return [[f / i, (a - f) / i, (b - f) / i, (c - f) / i] for f, a, b, c in rows]
 
 
 def reconstruct_mueller(ms: MeasurementSet) -> np.ndarray:
     """Exact linear inversion of the four-probe protocol."""
-    i, rows = ms.intensity, zip(*(s.tolist() for s in ms.outputs()))
-    return np.array([[f / i, (a - f) / i, (b - f) / i, (c - f) / i] for f, a, b, c in rows])
+    return np.array(_mueller_rows(ms))
 
 
 @dataclass(frozen=True)

@@ -72,18 +72,15 @@ def rotation_from_measurements(ms: MeasurementSet, tol: float = 1e-9) -> np.ndar
     signals boost content.
     """
     i = ms.intensity
-    dev = max(
-        abs(ms.f[0] - i),
-        float(np.abs(ms.f[1:]).max()),
-        abs(ms.a[0] - i),
-        abs(ms.b[0] - i),
-        abs(ms.c[0] - i),
+    (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
+        s.tolist() for s in ms.outputs()
     )
+    dev = max(abs(f0 - i), abs(f1), abs(f2), abs(f3), abs(a0 - i), abs(b0 - i), abs(c0 - i))
     if dev > tol * i:
         raise NotRotationType(
             f"measurements deviate from rotation form by {dev / i:.3e} relative"
         )
-    return np.column_stack([ms.a[1:], ms.b[1:], ms.c[1:]]) / i
+    return np.array([[a1 / i, b1 / i, c1 / i], [a2 / i, b2 / i, c2 / i], [a3 / i, b3 / i, c3 / i]])
 
 
 def recover_quaternion(r, ortho_tol: float = 1e-6, trace_eps: float = 1e-8) -> np.ndarray:

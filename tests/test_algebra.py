@@ -74,6 +74,18 @@ def test_quaternion_two_to_one_exact(n):
     assert np.array_equal(lp.quaternion_to_rotation(n), lp.quaternion_to_rotation(-n))
 
 
+@given(unit_quaternions())
+def test_quaternion_to_rotation_matches_numpy_scalars_bitwise(n):
+    # the formula on numpy float64 scalars, as earlier releases evaluated it
+    n0, n1, n2, n3 = n
+    expected = np.array([
+        [1 - 2 * (n2 * n2 + n3 * n3), -2 * n0 * n3 + 2 * n1 * n2, 2 * n0 * n2 + 2 * n1 * n3],
+        [2 * n0 * n3 + 2 * n1 * n2, 1 - 2 * (n3 * n3 + n1 * n1), -2 * n0 * n1 + 2 * n2 * n3],
+        [-2 * n0 * n2 + 2 * n1 * n3, 2 * n0 * n1 + 2 * n2 * n3, 1 - 2 * (n1 * n1 + n2 * n2)],
+    ])
+    assert lp.quaternion_to_rotation(n).tobytes() == expected.tobytes()
+
+
 def test_rotation_mueller_embedding():
     m = lp.rotation_mueller(3, np.pi / 2)
     assert_allclose(m[1:, 1:], QUARTER_TURN, atol=1e-15)
@@ -203,6 +215,9 @@ def test_k_from_q_trivial_and_boost():
 def test_k_from_q_singular():
     with pytest.raises(lp.SingularParameter):
         lp.k_from_q([1.0, 0.0, 0.0])
+    with pytest.raises(lp.SingularParameter) as exc:
+        lp.k_from_q([0.6, 0.8, 0.0])
+    assert str(exc.value) == "1 - q.q = 0j is singular"  # a Python complex, not a numpy repr
 
 
 def test_q_from_k_round_trip():

@@ -60,12 +60,31 @@ def test_simulate_deterministic_bytes(capsys):
     (("simulate", "--quaternion", "1", "1", "0", "0"), 2),   # not unit norm
     (("simulate", "--matrix", "1", "2", "3"), 2),            # wrong count
     (("simulate", "--matrix", "identity", "--noise", "-1"), 2),
+    (("simulate", "--matrix", "identity", "--noise", "nan"), 2),
+    (("simulate", "--matrix", "identity", "--noise", "inf"), 2),
     (("simulate", "--qparam", "nan", "0", "0"), 2),           # NaN k: NonRealResult
 ])
 def test_simulate_error_exit_codes(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert out == ""
+
+
+def test_simulate_singular_qparam_message(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--qparam", "1", "0", "0")
+    assert (code, out, err) == (2, "", "error: 1 - q.q = 0j is singular\n")
+
+
+@pytest.mark.parametrize("command", ["recover", "classify"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-400", "abc"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
+    path = write_measurements(tmp_path, lp.boost_mueller(3, 0.5))
+    code, out, err = run_cli(capsys, command, str(path), "--tol", tol)
+    assert code == 2 and out == "" and "Traceback" not in err
+    # argparse's usage, then one error line
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"lorentzpol {command}: error: argument --tol: must be a finite positive number, got {tol!r}"
+    ]
 
 
 def test_simulate_qparam_round_trip(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -60,3 +62,22 @@ def test_non_finite_raises_format_number_message(bad, shape):
     with pytest.raises(ValueError) as got:
         jsonio.dumps({"payload": values})
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("x", EDGE_VALUES)
+def test_scalars_and_nested_dicts_match_format_number(x):
+    text = jsonio.format_number(x)
+    for value in (float(x), np.float64(x)):
+        assert jsonio.dumps(value) == text
+        nested = {"a": {"b": value, "c": [value, {"d": value}]}, "e": value}
+        assert jsonio.dumps(nested) == '{"a": {"b": %s, "c": [%s, {"d": %s}]}, "e": %s}' % ((text,) * 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_scalars_raise_format_number_message(bad):
+    with pytest.raises(ValueError) as expected:
+        jsonio.format_number(bad)
+    for value in (bad, np.float64(bad), {"a": {"b": bad}}, {"a": [np.float64(bad)]}):
+        with pytest.raises(ValueError) as got:
+            jsonio.dumps(value)
+        assert str(got.value) == str(expected.value)

@@ -269,3 +269,22 @@ def test_one_pass_matches_componentwise_formulas(ms):
     assert _bits(lp.recovery_intermediates(ms).trace_sum) == _bits(trace_sum)
     # and (M - iN)/delta up to rounding
     assert np.abs(q - (result.mvec - 1j * result.nvec) / result.delta).max() < 1e-12
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-17, -3.0]), min_size=12, max_size=12),
+       st.floats(0.25, 4.0))
+def test_q_division_matches_numpy_on_signed_zeros(offdiag, intensity):
+    # q is divided on scalars with numpy's complex-division formula; signed zeros
+    # in the numerators keep the bytes of the array expression of earlier releases
+    outputs = np.diag([4.0, 4.0, 4.0, 4.0]) * intensity
+    outputs[~np.eye(4, dtype=bool)] = offdiag
+    outputs[0, 0] = 2.0 * intensity
+    ms = lp.MeasurementSet(intensity, *outputs)
+    (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = outputs.tolist()
+    trace_sum = f0 + (a1 - f1) + (b2 - f2) + (c3 - f3)
+    m = [f0 - f1 - a0, f0 - f2 - b0, f0 - f3 - c0]
+    q_im = [(f2 - f3) - (c2 - b3), (f3 - f1) - (a3 - c1), (f1 - f2) - (b1 - a2)]
+    expected = (np.array(m) - 1j * np.array(q_im)) / trace_sum
+    assert _bits(lp.recover_q(ms)) == _bits(expected)
+    assert _bits(lp.recover_parameters(ms).q) == _bits(expected)

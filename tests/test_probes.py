@@ -66,6 +66,23 @@ def test_noise_spec_rejects_negative_sigma():
         lp.NoiseSpec(sigma=-0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_noise_spec_rejects_non_finite_sigma(bad):
+    with pytest.raises(ValueError, match="finite"):
+        lp.NoiseSpec(sigma=bad)
+
+
+@pytest.mark.parametrize("sigma, seed", [(1e-4, 0), (0.01, 7), (2.5, 2**31 - 1)])
+def test_simulate_noise_is_four_successive_draws(sigma, seed):
+    # the (4, 4) draw gives the stream of four size-4 draws, one per output
+    m = lp.lorentz_from_k(lp.k_from_q([0.2 + 0.1j, -0.3j, 0.25]))
+    ms = lp.simulate_measurements(m, 1.3, lp.NoiseSpec(sigma, seed))
+    rng = np.random.default_rng(seed)
+    expected = [m @ p + rng.normal(0.0, sigma, 4) for p in lp.probe_set(1.3)]
+    for got, want in zip(ms.outputs(), expected):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_measurement_set_validation():
     with pytest.raises(lp.NonPositiveIntensity):
         lp.MeasurementSet(0.0, np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4))

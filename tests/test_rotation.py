@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lorentzpol as lp
+from lorentzpol import cli
 
 from conftest import unit_quaternions
 
@@ -110,3 +114,27 @@ def test_end_to_end_rotation_recovery(n):
     recovered = lp.recover_quaternion(block)
     assert np.abs(lp.embed_rotation(lp.quaternion_to_rotation(recovered)) - element).max() < 1e-9
     assert lp.validate_triad(lp.triad_from_measurements(ms), tol=1e-10).all_passed
+
+
+@settings(max_examples=150)
+@given(unit_quaternions(min_n0=0.05), st.floats(0.5, 2.0), st.sampled_from([0.0, 1e-7]),
+       st.integers(0, 2**31 - 1))
+def test_rotation_payload_matches_numpy_expressions_bitwise(n, intensity, eps, seed):
+    # earlier releases took the unit quaternion with np.linalg.norm and the deviation
+    # through np.abs(...).max(); the scalar forms give the same bits
+    element = lp.embed_rotation(lp.quaternion_to_rotation(n))
+    ms = lp.simulate_measurements(element, intensity, lp.NoiseSpec(eps * intensity, seed))
+    with mock.patch.object(cli, "quaternion_to_rotation", wraps=lp.quaternion_to_rotation) as spy:
+        payload = cli._rotation_payload(ms, 1e-5 if eps else 1e-9)
+    unit = payload["quaternion"] / np.linalg.norm(payload["quaternion"])
+    assert spy.call_args.args[0].tobytes() == unit.tobytes()
+    rebuilt = lp.embed_rotation(lp.quaternion_to_rotation(unit))
+    deviation = float(np.abs(rebuilt - lp.reconstruct_mueller(ms)).max())
+    assert type(payload["round_trip_max_dev"]) is float
+    assert np.float64(payload["round_trip_max_dev"]).tobytes() == np.float64(deviation).tobytes()
+
+
+def test_rotation_from_measurements_matches_column_stack_bitwise():
+    ms = lp.simulate_measurements(lp.embed_rotation(lp.quaternion_to_rotation([0.8, 0.36, 0.48, 0.0])), 1.7)
+    expected = np.column_stack([ms.a[1:], ms.b[1:], ms.c[1:]]) / ms.intensity
+    assert lp.rotation_from_measurements(ms).tobytes() == expected.tobytes()
