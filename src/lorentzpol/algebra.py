@@ -39,6 +39,12 @@ class MuellerClass(enum.Enum):
     NOT_LORENTZIAN = "not-lorentzian"
 
 
+def _check_tolerance(tol: float) -> float:
+    if not 0.0 < tol < np.inf:  # NaN included
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    return tol
+
+
 def as_stokes(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (4,):
@@ -87,7 +93,7 @@ def quaternion_to_rotation(n, norm_tol: float = 1e-9) -> np.ndarray:
     if n.shape != (4,):
         raise ValueError(f"quaternion must have shape (4,), got {n.shape}")
     norm2 = float(np.dot(n, n))
-    if abs(norm2 - 1.0) >= norm_tol:
+    if not abs(norm2 - 1.0) < norm_tol:  # NaN included
         raise NormViolation(f"quaternion norm^2 = {norm2!r}, expected 1")
     n0, n1, n2, n3 = n.tolist()
     return np.array([
@@ -246,8 +252,7 @@ def is_lorentzian(m, tol: float = 1e-9) -> MuellerClass:
     column equal (1, 0, 0, 0) within tol; NOT_LORENTZIAN otherwise, also for
     NaN.  All on Python floats from one ``m.tolist()``, det M in 2x2 minors.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tolerance(tol)
     rows = as_mueller(m).tolist()
     flat = rows[0] + rows[1] + rows[2] + rows[3]
     scale = max(map(abs, flat))

@@ -15,6 +15,9 @@ Exit codes:
      normalization, rebuild off the group); a partial report goes to stderr
   5  measurements incompatible with the requested model (not lorentzian /
      not rotation-type)
+
+Codes 3-5 are the ``exit_code`` of the LorentzpolError raised; any error
+raised while reading input or building the element exits 2.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from . import jsonio
 from .algebra import (
     MuellerClass,
+    _check_tolerance,
     boost_mueller,
     embed_rotation,
     is_lorentzian,
@@ -37,24 +41,12 @@ from .algebra import (
     quaternion_to_rotation,
     rotation_mueller,
 )
-from .errors import (
-    DegenerateTrace,
-    NearPiRotation,
-    NonPositiveIntensity,
-    NonRealResult,
-    NormViolation,
-    NotRotation,
-    NotRotationType,
-    SingularNormalization,
-    SingularParameter,
-)
+from .errors import LorentzpolError
 from .lorentz import recover_parameters, verify_round_trip
-from .probes import MeasurementSet, NoiseSpec, lorentz_residuals, reconstruct_mueller, simulate_measurements
+from .probes import (
+    LorentzResiduals, MeasurementSet, NoiseSpec, lorentz_residuals, reconstruct_mueller, simulate_measurements,
+)
 from .rotation import recover_quaternion, rotation_from_measurements
-
-
-class SpecError(Exception):
-    """Invalid element specification (exit 2)."""
 
 
 def _fail(message: str, code: int) -> int:
@@ -69,35 +61,32 @@ def build_element(args) -> np.ndarray:
         if getattr(args, name) is not None
     ]
     if len(given) != 1:
-        raise SpecError(
+        raise ValueError(
             "exactly one of --boost/--rotation/--quaternion/--qparam/--matrix is required"
         )
     kind = given[0]
+    if kind == "boost":
+        if args.beta is None:
+            raise ValueError("--boost requires --beta")
+        return boost_mueller(args.boost, args.beta)
+    if kind == "rotation":
+        if args.theta is None:
+            raise ValueError("--rotation requires --theta")
+        return rotation_mueller(args.rotation, args.theta)
+    if kind == "quaternion":
+        return embed_rotation(quaternion_to_rotation(np.array(args.quaternion), norm_tol=1e-6))
+    if kind == "qparam":
+        return lorentz_from_k(k_from_q(np.array(args.qparam)))
+    tokens = args.matrix
+    if tokens == ["identity"]:
+        return np.eye(4)
+    if len(tokens) != 16:
+        raise ValueError(f"--matrix needs 'identity' or 16 numbers, got {len(tokens)}")
     try:
-        if kind == "boost":
-            if args.beta is None:
-                raise SpecError("--boost requires --beta")
-            return boost_mueller(args.boost, args.beta)
-        if kind == "rotation":
-            if args.theta is None:
-                raise SpecError("--rotation requires --theta")
-            return rotation_mueller(args.rotation, args.theta)
-        if kind == "quaternion":
-            return embed_rotation(quaternion_to_rotation(np.array(args.quaternion), norm_tol=1e-6))
-        if kind == "qparam":
-            return lorentz_from_k(k_from_q(np.array(args.qparam)))
-        tokens = args.matrix
-        if tokens == ["identity"]:
-            return np.eye(4)
-        if len(tokens) != 16:
-            raise SpecError(f"--matrix needs 'identity' or 16 numbers, got {len(tokens)}")
-        try:
-            values = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise SpecError(f"bad matrix entry: {exc}") from exc
-        return np.array(values).reshape(4, 4)
-    except (ValueError, NormViolation, NonRealResult, SingularParameter) as exc:
-        raise SpecError(str(exc)) from exc
+        values = [float(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(f"bad matrix entry: {exc}") from exc
+    return np.array(values).reshape(4, 4)
 
 
 def cmd_simulate(args) -> int:
@@ -106,14 +95,12 @@ def cmd_simulate(args) -> int:
         try:
             element = build_element(args)
             noise = NoiseSpec(args.noise, args.seed)
-        except (SpecError, ValueError) as exc:
+        except (ValueError, LorentzpolError) as exc:
             return _fail(str(exc), 2)
         try:
             ms = simulate_measurements(element, args.intensity, noise)
-        except NonPositiveIntensity as exc:
-            return _fail(str(exc), 3)
-        except ValueError as exc:  # non-finite or out-of-range outputs
-            return _fail(str(exc), 2)
+        except (ValueError, LorentzpolError) as exc:  # ValueError: non-finite or out-of-range outputs
+            return _fail(str(exc), getattr(exc, "exit_code", 2))
     print(ms.to_json())
     return 0
 
@@ -126,13 +113,19 @@ def _load_measurements(path: str) -> MeasurementSet:
     return MeasurementSet.from_json(text)
 
 
-class NotLorentzianInput(Exception):
-    """Residuals rule out a Lorentz-type element under --model lorentz."""
+class NotLorentzianInput(LorentzpolError):
+    """Residuals rule out a Lorentz-type element under --model lorentz; exit 5, own report."""
 
-    def __init__(self, normalized_max: float, tol: float):
-        super().__init__(f"normalized residual {normalized_max:.6g} exceeds tol {tol:g}")
-        self.normalized_max = normalized_max
-        self.tol = tol
+    exit_code = 5
+
+    def __init__(self, residuals: LorentzResiduals, tol: float):
+        super().__init__(f"normalized residual {residuals.normalized_max:.6g} exceeds tol {tol:g}")
+        self.report = {
+            "error": str(self),
+            "lorentz_residuals": residuals.as_array(),
+            "max_normalized_residual": residuals.normalized_max,
+            "tolerance": tol,
+        }
 
 
 def _rotation_payload(ms: MeasurementSet, tol: float) -> dict:
@@ -158,7 +151,7 @@ def _recover_payload(ms: MeasurementSet, model: str, tol: float) -> dict:
     if model == "lorentz":
         residuals = lorentz_residuals(ms)
         if residuals.normalized_max > tol:
-            raise NotLorentzianInput(residuals.normalized_max, tol)
+            raise NotLorentzianInput(residuals, tol)
         return recover_parameters(ms).to_json_dict()
     # auto
     matrix = reconstruct_mueller(ms)
@@ -182,34 +175,21 @@ def _recover_payload(ms: MeasurementSet, model: str, tol: float) -> dict:
     return payload
 
 
-def _partial_report(ms: MeasurementSet, message: str) -> str:
-    return jsonio.dumps({
-        "error": message,
-        "matrix": reconstruct_mueller(ms),
-        "lorentz_residuals": lorentz_residuals(ms).as_array(),
-    })
-
-
 def _recover_one(path: str, model: str, tol: float) -> tuple[int, str, str]:
     """Returns (exit_code, stdout_text, stderr_text) for one input."""
     try:
         ms = _load_measurements(path)
-    except (OSError, ValueError, NonPositiveIntensity) as exc:
+    except Exception as exc:  # whatever stops the read, the input is unusable: exit 2
         return 2, "", f"error: cannot read measurements from {path!r}: {exc}"
     try:
         payload = _recover_payload(ms, model, tol)
-    except NotLorentzianInput as exc:
-        report = jsonio.dumps({
-            "error": str(exc),
+    except LorentzpolError as exc:
+        report = exc.report if isinstance(exc, NotLorentzianInput) else {
+            "error": f"{type(exc).__name__}: {exc}",
+            "matrix": reconstruct_mueller(ms),
             "lorentz_residuals": lorentz_residuals(ms).as_array(),
-            "max_normalized_residual": exc.normalized_max,
-            "tolerance": exc.tol,
-        })
-        return 5, "", report
-    except (NotRotationType, NotRotation) as exc:
-        return 5, "", _partial_report(ms, f"{type(exc).__name__}: {exc}")
-    except (DegenerateTrace, NearPiRotation, SingularNormalization, NormViolation, NonRealResult) as exc:
-        return 4, "", _partial_report(ms, f"{type(exc).__name__}: {exc}")
+        }
+        return exc.exit_code, "", jsonio.dumps(report)
     return 0, jsonio.dumps(payload), ""
 
 
@@ -251,7 +231,7 @@ def _recover_batch(args) -> int:
 def cmd_classify(args) -> int:
     try:
         ms = _load_measurements(args.input)
-    except (OSError, ValueError, NonPositiveIntensity) as exc:
+    except Exception as exc:  # as in _recover_one
         return _fail(f"cannot read measurements from {args.input!r}: {exc}", 2)
     classification = is_lorentzian(reconstruct_mueller(ms), args.tol)
     residuals = lorentz_residuals(ms)
@@ -269,12 +249,9 @@ def cmd_classify(args) -> int:
 
 def _tolerance(text: str) -> float:
     try:
-        value = float(text)
+        return _check_tolerance(float(text))
     except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,41 +1,49 @@
-"""Exception types raised by the recovery pipelines."""
+"""Exception types raised by the recovery pipelines; ``exit_code`` is the CLI exit code of each."""
 
 
 class LorentzpolError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; exit 4 (recovery singular)."""
+
+    exit_code = 4
 
 
 class NormViolation(LorentzpolError):
-    """A parameter that must be normalized is not (quaternion or spinor)."""
+    """A parameter that must be normalized is not (quaternion or spinor); exit 4."""
 
 
 class NonRealResult(LorentzpolError):
-    """A matrix that must come out real has a non-negligible imaginary part."""
+    """A matrix that must come out real has a non-negligible imaginary part; exit 4."""
 
 
 class SingularParameter(LorentzpolError):
-    """The vector parameter q lies on the singular surface q.q = 1."""
+    """The vector parameter q lies on the singular surface q.q = 1; exit 4."""
 
 
 class NonPositiveIntensity(LorentzpolError):
-    """Probe intensity must be strictly positive."""
+    """Probe intensity must be strictly positive; exit 3 (simulate only)."""
+
+    exit_code = 3
 
 
 class NotRotationType(LorentzpolError):
-    """Measurements carry boost content; the rotation branch does not apply."""
+    """Measurements carry boost content; the rotation branch does not apply; exit 5."""
+
+    exit_code = 5
 
 
 class NotRotation(LorentzpolError):
-    """A 3x3 matrix is not orthogonal with determinant +1."""
+    """A 3x3 matrix is not orthogonal with determinant +1; exit 5."""
+
+    exit_code = 5
 
 
 class NearPiRotation(LorentzpolError):
-    """Quaternion extraction is singular for rotations by (almost) pi."""
+    """Quaternion extraction is singular for rotations by (almost) pi; exit 4."""
 
 
 class DegenerateTrace(LorentzpolError):
-    """The matrix trace vanishes; the parameter modulus cannot be extracted."""
+    """The matrix trace vanishes; the parameter modulus cannot be extracted; exit 4."""
 
 
 class SingularNormalization(LorentzpolError):
-    """The spinor normalization denominator vanishes for these measurements."""
+    """The spinor normalization denominator vanishes for these measurements; exit 4."""

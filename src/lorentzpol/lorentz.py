@@ -1,9 +1,9 @@
 """General branch: recover the spinor and vector parameters of a
 Lorentz-type element directly from the four-probe measurements.
 
-The extraction works on the row-flipped matrix Lambda.  Its trace fixes the
-modulus delta of the leading parameter component (trace = 4*delta^2); the
-antisymmetric part of Lambda has the rigid layout
+The trace of the reconstructed Mueller matrix fixes the modulus delta of the
+leading parameter component (trace = 4*delta^2).  The antisymmetric part of
+Lambda, the same matrix with rows 1-3 negated, has the rigid layout
 
     2*delta * | 0    -M1   -M2   -M3 |
               | M1    0     N3   -N2 |
@@ -35,20 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MINKOWSKI_METRIC, as_mueller, canonical_spinor_sign, lorentz_from_k
+from .algebra import canonical_spinor_sign, lorentz_from_k
 from .errors import DegenerateTrace, LorentzpolError, SingularNormalization
-from .probes import LorentzResiduals, MeasurementSet, _mueller_rows, lorentz_residuals, reconstruct_mueller
-
-
-@dataclass(frozen=True)
-class RecoveryIntermediates:
-    """Raw pieces of the extraction: delta, M, N, Lambda and the trace sum."""
-
-    delta: float
-    mvec: np.ndarray
-    nvec: np.ndarray
-    lambda_matrix: np.ndarray
-    trace_sum: float
+from .probes import LorentzResiduals, MeasurementSet, _mueller_rows, lorentz_residuals
 
 
 @dataclass(frozen=True)
@@ -84,11 +73,6 @@ class RoundTripReport:
     tol: float
     residuals: LorentzResiduals
     error: str | None = None
-
-
-def lambda_from_mueller(m) -> np.ndarray:
-    """Row-flipped matrix Lambda: row 0 kept, rows 1-3 negated."""
-    return MINKOWSKI_METRIC @ as_mueller(m)
 
 
 def _read(ms: MeasurementSet) -> tuple[float, list, list, list]:
@@ -143,12 +127,6 @@ def _extract(ms: MeasurementSet) -> tuple[float, float, list, list, np.ndarray]:
     q = np.array([complex((a + b * rat) * scl, (b - a * rat) * scl)
                   for a, b in zip(m, [0.0 - x for x in q_im])])
     return trace_sum, delta, [x / scale for x in m], [x / scale for x in n], q
-
-
-def recovery_intermediates(ms: MeasurementSet) -> RecoveryIntermediates:
-    trace_sum, delta, mvec, nvec, _ = _extract(ms)
-    lambda_matrix = lambda_from_mueller(reconstruct_mueller(ms))
-    return RecoveryIntermediates(delta, np.array(mvec), np.array(nvec), lambda_matrix, trace_sum)
 
 
 def _assemble_k(delta: float, mvec: list, nvec: list) -> np.ndarray:

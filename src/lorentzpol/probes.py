@@ -85,10 +85,11 @@ class MeasurementSet:
         try:
             intensity = float(data["intensity"])
             outputs = data["outputs"]
-            vectors = [outputs[name] for name in ("F", "A", "B", "C")]
-        except (KeyError, TypeError) as exc:
+            return cls(intensity, *[outputs[name] for name in ("F", "A", "B", "C")])
+        except KeyError as exc:
             raise ValueError(f"malformed measurement JSON: missing {exc}") from exc
-        return cls(intensity, *vectors)
+        except (TypeError, OverflowError) as exc:  # a non-numeric entry, or an integer past the float range
+            raise ValueError(f"malformed measurement JSON: {exc}") from exc
 
 
 def probe_set(intensity: float) -> list[np.ndarray]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _check_tolerance
 from .errors import NearPiRotation, NotRotation, NotRotationType
 from .probes import MeasurementSet
 
@@ -50,8 +51,7 @@ def validate_triad(triad: PolarizationTriad, tol: float) -> TriadReport:
     (triple product +1); each is reported with its residual and a pass/fail
     flag at the given tolerance.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tolerance(tol)
     p = (triad.p1, triad.p2, triad.p3)
     checks = []
     for idx, vec in enumerate(p, start=1):
@@ -71,6 +71,7 @@ def rotation_from_measurements(ms: MeasurementSet, tol: float = 1e-9) -> np.ndar
     any probe intensity changes by more than tol relative to I, which
     signals boost content.
     """
+    _check_tolerance(tol)
     i = ms.intensity
     (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
         s.tolist() for s in ms.outputs()

@@ -61,6 +61,12 @@ def test_quaternion_norm_violation():
         lp.quaternion_to_rotation([1, 1, 0, 0])
 
 
+@pytest.mark.parametrize("n", [[np.nan, 0, 0, 0], [np.nan] * 4, [1, 0, 0, np.inf]])
+def test_quaternion_to_rotation_rejects_non_finite(n):
+    with pytest.raises(lp.NormViolation):
+        lp.quaternion_to_rotation(n)
+
+
 @settings(max_examples=100)
 @given(unit_quaternions())
 def test_quaternion_rotation_is_proper(n):
@@ -247,3 +253,9 @@ def test_is_lorentzian_classes():
     assert lp.is_lorentzian(2.0 * np.eye(4)) is lp.MuellerClass.NOT_LORENTZIAN
     with pytest.raises(ValueError):
         lp.is_lorentzian(np.eye(4), tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_is_lorentzian_rejects_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        lp.is_lorentzian(BOOST_LN2, tol=tol)

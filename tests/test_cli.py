@@ -63,6 +63,7 @@ def test_simulate_deterministic_bytes(capsys):
     (("simulate", "--matrix", "identity", "--noise", "nan"), 2),
     (("simulate", "--matrix", "identity", "--noise", "inf"), 2),
     (("simulate", "--qparam", "nan", "0", "0"), 2),           # NaN k: NonRealResult
+    (("simulate", "--quaternion", "nan", "nan", "nan", "nan"), 2),  # NaN norm: NormViolation
 ])
 def test_simulate_error_exit_codes(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
@@ -237,6 +238,36 @@ def test_non_finite_input_exits_2(tmp_path, capsys, name, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+MALFORMED_INPUTS = {
+    "dict_entry": '{"intensity": 1, "outputs": {"F": {"a": 1}, "A": [1, 1, 0, 0],'
+                  ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',
+    "dict_in_vector": '{"intensity": 1, "outputs": {"F": [1, 0, 0, {}], "A": [1, 1, 0, 0],'
+                      ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',
+    "deep_nesting": "[" * 100000 + "]" * 100000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+@pytest.mark.parametrize("command", [("recover", "--model", "auto"), ("classify",)])
+def test_malformed_input_exits_2(tmp_path, capsys, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_text(MALFORMED_INPUTS[name])
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read measurements from ") and len(err.splitlines()) == 1
+
+
+def test_batch_reports_malformed_file_and_continues(tmp_path, capsys):
+    write_measurements(tmp_path, lp.boost_mueller(3, 0.5), name="a_good.json")
+    (tmp_path / "b_bad.json").write_text(MALFORMED_INPUTS["dict_in_vector"])
+    write_measurements(tmp_path, np.eye(4), name="c_good.json")
+    code, out, err = run_cli(capsys, "recover", "--batch", str(tmp_path))
+    assert code == 2
+    assert out.splitlines() == ["a_good.json: ok", "b_bad.json: failed (exit 2)", "c_good.json: ok"]
+    assert "malformed measurement JSON" in err and len(err.splitlines()) == 1
+    assert (tmp_path / "c_good.recovery.json").exists()
 
 
 def test_simulate_overflowing_boost_exits_2():

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -13,20 +15,6 @@ LN2 = np.log(2.0)
 
 def _measure(matrix, intensity=1.0):
     return lp.simulate_measurements(matrix, intensity)
-
-
-def test_lambda_from_mueller():
-    assert_allclose(lp.lambda_from_mueller(np.eye(4)), np.diag([1.0, -1, -1, -1]))
-    lam = lp.lambda_from_mueller(lp.boost_mueller(3, LN2))
-    assert_allclose(lam, [
-        [1.25, 0, 0, 0.75],
-        [0, -1, 0, 0],
-        [0, 0, -1, 0],
-        [-0.75, 0, 0, -1.25],
-    ])
-    # applying the row flip twice restores the original
-    m = np.arange(16.0).reshape(4, 4)
-    assert_allclose(lp.lambda_from_mueller(lp.lambda_from_mueller(m)), m)
 
 
 def test_delta_from_trace_values():
@@ -82,14 +70,10 @@ def test_mn_requires_positive_delta():
         lp.mn_from_antisymmetric(_measure(np.eye(4)), 0.0)
 
 
-def test_recovery_intermediates_invariant():
-    ms = _measure(lp.boost_mueller(2, 0.8))
-    inter = lp.recovery_intermediates(ms)
-    assert 4.0 * inter.delta**2 == pytest.approx(inter.trace_sum / ms.intensity, abs=1e-12)
-    assert 4.0 * inter.delta**2 == pytest.approx(
-        np.trace(lp.reconstruct_mueller(ms)), abs=1e-12
-    )
-    assert_allclose(inter.lambda_matrix[0], lp.reconstruct_mueller(ms)[0])
+def test_delta_from_trace_invariant():
+    ms = _measure(lp.boost_mueller(2, 0.8), intensity=2.5)
+    delta = lp.delta_from_trace(ms)
+    assert 4.0 * delta**2 == pytest.approx(np.trace(lp.reconstruct_mueller(ms)), abs=1e-12)
 
 
 def test_recover_k_identity_and_boost():
@@ -237,10 +221,6 @@ def test_one_pass_parity_with_stage_functions(ms):
     assert _bits(result.nvec) == _bits(nvec)
     assert _bits(result.k) == _bits(lp.recover_k(ms))
     assert _bits(result.q) == _bits(lp.recover_q(ms))
-    inter = lp.recovery_intermediates(ms)
-    assert _bits(inter.delta) == _bits(delta)
-    assert _bits(inter.mvec) == _bits(mvec)
-    assert _bits(inter.nvec) == _bits(nvec)
 
 
 @settings(max_examples=200)
@@ -258,7 +238,8 @@ def test_one_pass_matches_componentwise_formulas(ms):
     assert _bits(q) == _bits(numerators / trace_sum)
     # the antisymmetric layout of the module docstring, scaled by 4*I*delta
     result = lp.recover_parameters(ms)
-    assert _bits(result.delta) == _bits(float(np.sqrt(trace_sum / ms.intensity) / 2.0))
+    # delta pins the trace sum, with q above
+    assert _bits(result.delta) == _bits(math.sqrt(trace_sum / ms.intensity) / 2.0)
     scale = 4.0 * ms.intensity * result.delta
     assert _bits(result.mvec) == _bits(np.array([
         f[0] - f[1] - a[0], f[0] - f[2] - b[0], f[0] - f[3] - c[0],
@@ -266,7 +247,6 @@ def test_one_pass_matches_componentwise_formulas(ms):
     assert _bits(result.nvec) == _bits(np.array([
         f[2] - f[3] - c[2] + b[3], f[3] - f[1] - a[3] + c[1], f[1] - f[2] - b[1] + a[2],
     ]) / scale)
-    assert _bits(lp.recovery_intermediates(ms).trace_sum) == _bits(trace_sum)
     # and (M - iN)/delta up to rounding
     assert np.abs(q - (result.mvec - 1j * result.nvec) / result.delta).max() < 1e-12
 
@@ -274,6 +254,7 @@ def test_one_pass_matches_componentwise_formulas(ms):
 @settings(max_examples=300)
 @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-17, -3.0]), min_size=12, max_size=12),
        st.floats(0.25, 4.0))
+@example(offdiag=[0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -3.0, 0.0, 0.5], intensity=0.25)
 def test_q_division_matches_numpy_on_signed_zeros(offdiag, intensity):
     # q is divided on scalars with numpy's complex-division formula; signed zeros
     # in the numerators keep the bytes of the array expression of earlier releases
@@ -286,5 +267,13 @@ def test_q_division_matches_numpy_on_signed_zeros(offdiag, intensity):
     m = [f0 - f1 - a0, f0 - f2 - b0, f0 - f3 - c0]
     q_im = [(f2 - f3) - (c2 - b3), (f3 - f1) - (a3 - c1), (f1 - f2) - (b1 - a2)]
     expected = (np.array(m) - 1j * np.array(q_im)) / trace_sum
-    assert _bits(lp.recover_q(ms)) == _bits(expected)
+    try:
+        q = lp.recover_q(ms)
+    except lp.SingularNormalization:
+        # some draws put q on q.q = 1, where delta^2 + v.v = delta^2 (1 - q.q) vanishes
+        assert abs(1.0 - np.dot(expected, expected)) < 1e-9
+        with pytest.raises(lp.SingularNormalization):
+            lp.recover_parameters(ms)
+        return
+    assert _bits(q) == _bits(expected)
     assert _bits(lp.recover_parameters(ms).q) == _bits(expected)

@@ -36,6 +36,14 @@ def test_rotation_from_measurements_rejects_boost():
         lp.rotation_from_measurements(ms)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_rotation_from_measurements_rejects_bad_tolerance(tol):
+    # a NaN tol used to let a boost through: dev > nan * I is False
+    ms = lp.simulate_measurements(lp.boost_mueller(3, np.log(2.0)), 1.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        lp.rotation_from_measurements(ms, tol=tol)
+
+
 def test_triad_from_measurements_columns():
     triad = lp.triad_from_measurements(_measure(QUARTER_TURN, intensity=2.0))
     assert_allclose(triad.p1, QUARTER_TURN[:, 0])
@@ -61,6 +69,13 @@ def test_validate_triad_cases():
     by_name = {c.name: c for c in report.checks}
     assert by_name["norm_p1"].residual == 1.0
     assert not report.all_passed
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_validate_triad_rejects_bad_tolerance(tol):
+    e1, e2, e3 = np.eye(3)
+    with pytest.raises(ValueError, match="finite and positive"):
+        lp.validate_triad(lp.PolarizationTriad(2 * e1, e2, e3), tol=tol)
 
 
 def test_recover_quaternion_values():
