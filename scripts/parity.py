@@ -15,7 +15,8 @@ and out-of-envelope or malformed files (exit 2).  Every set goes through
 `cli._recover_one` under each `--model` at `--tol 1e-9`, through `--model auto`
 at `--tol 1e-3`, through `classify` and through `from_json(text).to_json()`.
 N/2 forward sets build an element with each tree's own constructions and
-compare the `simulate` JSON text.
+compare the `simulate` JSON text; differing texts are counted by element kind,
+with the largest distance of one number in units in the last place (ulp).
 
 Prints the counts of differing exit codes, classifications and report bytes,
 and exits 1 if any count is nonzero.
@@ -27,6 +28,7 @@ import argparse
 import contextlib
 import importlib
 import io
+import json
 import math
 import shutil
 import sys
@@ -146,6 +148,16 @@ def forward_text(lp, seed: int, index: int) -> str:
     return lp.simulate_measurements(element(lp, rng, kind), intensity, noise).to_json()
 
 
+def ulp_distance(old: str, new: str) -> int:
+    """Largest distance in ulp between corresponding numbers of two measurement texts."""
+    def ordered(text):  # doubles as integers in the order of their values
+        data = json.loads(text)
+        values = np.array([data["intensity"], *sum(data["outputs"].values(), [])], dtype=float)
+        bits = values.view(np.int64).astype(object)
+        return [b if b >= 0 else -(b & 0x7FFF_FFFF_FFFF_FFFF) for b in bits]
+    return max(abs(a - b) for a, b in zip(ordered(old), ordered(new)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src")
@@ -170,8 +182,13 @@ def main(argv=None) -> int:
             codes[run] += code != new[run][0]
             reports[run] += report != new[run][1]
         classes += old["classify"][1].split(" ", 1)[0] != new["classify"][1].split(" ", 1)[0]
-    forward_diff = sum(forward_text(parent, args.seed, i) != forward_text(change, args.seed, i)
-                       for i in range(forward))
+    moved, ulps = Counter(), 0
+    for i in range(forward):
+        old, new = forward_text(parent, args.seed, i), forward_text(change, args.seed, i)
+        if old != new:
+            moved[FORWARD_KINDS[i % 3]] += 1
+            ulps = max(ulps, ulp_distance(old, new))
+    forward_diff = sum(moved.values())
 
     print(f"recovery sets: {len(texts)} (seed {args.seed})")
     for run in [f"{model}@{tol:g}" for model, tol in RUNS] + ["classify", "to_json"]:
@@ -180,7 +197,9 @@ def main(argv=None) -> int:
         print(f"  {run:14s} exit codes differing {codes[run]:6d}   report bytes differing "
               f"{reports[run]:6d}   parent exit codes {{{spread}}}")
     print(f"  classifications differing {classes}")
-    print(f"forward sets: {forward}, simulate texts differing {forward_diff}")
+    kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(moved.items()))
+    print(f"forward sets: {forward}, simulate texts differing {forward_diff}"
+          + (f" ({kinds}; numbers moved by at most {ulps} ulp)" if forward_diff else ""))
     total = sum(codes.values()) + sum(reports.values()) + classes + forward_diff
     print(f"total differences: {total}")
     return 1 if total else 0

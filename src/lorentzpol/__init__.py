@@ -5,17 +5,13 @@ general), plus exact inverse constructions for round-trip verification.
 """
 
 from .algebra import (
-    MINKOWSKI_METRIC,
     MuellerClass,
-    apply_mueller,
     boost_mueller,
     canonical_spinor_sign,
     embed_rotation,
     is_lorentzian,
     k_from_q,
     lorentz_from_k,
-    minkowski_norm,
-    q_from_k,
     quaternion_to_rotation,
     rotation_mueller,
     spinor_norm,
@@ -65,17 +61,13 @@ from .rotation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MINKOWSKI_METRIC",
     "MuellerClass",
-    "apply_mueller",
     "boost_mueller",
     "canonical_spinor_sign",
     "embed_rotation",
     "is_lorentzian",
     "k_from_q",
     "lorentz_from_k",
-    "minkowski_norm",
-    "q_from_k",
     "quaternion_to_rotation",
     "rotation_mueller",
     "spinor_norm",

@@ -18,17 +18,22 @@ equivalent compact parameterizations:
 The equivalent complex 3-vector parameter q is related by i*q = kvec/k0,
 so q is finite whenever k0 != 0 and carries the same information minus the
 sign ambiguity.
+
+Each construction has a kernel on Python floats and complex numbers (the
+underscored functions, which the CLI calls), and a public wrapper that checks
+its input and returns an ndarray; numpy is imported inside the wrappers only.
+Where numpy rounded with a fused multiply-add (complex dots, array complex
+products) the kernels do the same through ``_fma``, so they give numpy's bits.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
-
-import numpy as np
+import math
+from math import fsum
 
 from .errors import NonRealResult, NormViolation, SingularParameter
-
-MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 class MuellerClass(enum.Enum):
@@ -40,40 +45,124 @@ class MuellerClass(enum.Enum):
 
 
 def _check_tolerance(tol: float) -> float:
-    if not 0.0 < tol < np.inf:  # NaN included
+    if not 0.0 < tol < math.inf:  # NaN included
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     return tol
 
 
-def as_stokes(s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.shape != (4,):
-        raise ValueError(f"Stokes vector must have shape (4,), got {s.shape}")
-    return s
+def _fma(a: float, b: float, c: float) -> float:
+    """a*b + c rounded once, as the FMA instruction gives it (math.fma needs Python 3.13):
+    fsum of c and the four exact products of the Veltkamp halves of a and b, or Fractions
+    where a split could overflow or a half product underflow."""
+    if 1e-140 < abs(a) < 1e140 and 1e-140 < abs(b) < 1e140:
+        t = 134217729.0 * a
+        ah = t - (t - a)
+        t = 134217729.0 * b
+        bh = t - (t - b)
+        al, bl = a - ah, b - bh
+        return fsum((ah * bh, ah * bl, al * bh, al * bl, c))
+    if a == 0.0 or b == 0.0 or not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        return a * b + c  # an exact product, or IEEE gives the same inf or nan
+    from fractions import Fraction
+
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
-def as_mueller(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError(f"Mueller matrix must have shape (4, 4), got {m.shape}")
-    return m
+def _norm2(n) -> float:
+    """np.dot(n, n) of four floats: one FMA chain."""
+    n0, n1, n2, n3 = n
+    return _fma(n3, n3, _fma(n2, n2, _fma(n1, n1, n0 * n0)))
 
 
-def minkowski_norm(s) -> float:
-    """Quadratic invariant s0^2 - s1^2 - s2^2 - s3^2 of a Stokes vector.
-
-    Zero for fully polarized light, s0^2 for natural light.
-    """
-    s0, s1, s2, s3 = as_stokes(s).tolist()
-    return s0 * s0 - s1 * s1 - s2 * s2 - s3 * s3
-
-
-def apply_mueller(m, s) -> np.ndarray:
-    """Image of the Stokes vector s under the optical element m."""
-    return as_mueller(m) @ as_stokes(s)
+def _square(v) -> complex:
+    """np.dot(v, v) of three complex numbers: an FMA chain per product of parts."""
+    (x0, y0), (x1, y1), (x2, y2) = [(z.real, z.imag) for z in v]
+    rr = _fma(x2, x2, _fma(x1, x1, x0 * x0))
+    ii = _fma(y2, y2, _fma(y1, y1, y0 * y0))
+    ri = _fma(x2, y2, _fma(x1, y1, x0 * y0))
+    return complex(rr - ii, ri + ri + 0.0)  # numpy's dot turns a -0.0 sum into +0.0
 
 
-def quaternion_to_rotation(n, norm_tol: float = 1e-9) -> np.ndarray:
+def _cmul(a: complex, b: complex) -> complex:
+    """a*b as numpy's array loops round it."""
+    return complex(_fma(a.real, b.real, -(a.imag * b.imag)), _fma(a.real, b.imag, a.imag * b.real))
+
+
+def _cdiv(a: complex, b: complex) -> complex:
+    """a/b by Smith's formula as numpy rounds it; CPython divides by the denominator
+    where numpy multiplies by its reciprocal."""
+    if abs(b.real) >= abs(b.imag):
+        rat = b.imag / b.real
+        scl = 1.0 / (b.real + b.imag * rat)
+        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+    rat = b.real / b.imag
+    scl = 1.0 / (b.imag + b.real * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+
+
+def _sqrt(z: complex) -> complex:
+    """Principal square root as numpy takes it (glibc's csqrt): cmath.sqrt's, except on the
+    imaginary axis, where csqrt takes both parts as sqrt(|Im z|/2); the two also round a
+    subnormal part of the root differently."""
+    if z.real == 0.0 and z.imag != 0.0:
+        r = math.sqrt(0.5 * abs(z.imag))
+        return complex(r, math.copysign(r, z.imag))
+    return cmath.sqrt(z)
+
+
+def _checked(x, dtype, shape: tuple, what: str):
+    """x as an ndarray of the given dtype, or ValueError unless it has the given shape."""
+    import numpy as np
+    x = np.asarray(x, dtype=dtype)
+    if x.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {x.shape}")
+    return x
+
+
+def _array(x):
+    """The ndarray of a kernel's float or complex result."""
+    import numpy as np
+    return np.array(x)
+
+
+def _array_view(field: str, index: int) -> property:
+    """A read-only ndarray property built on access from getattr(self, field)[index]."""
+    return property(lambda self: _array(getattr(self, field)[index]))
+
+
+def _vector(v) -> tuple | None:
+    """v as four floats when it is a list or tuple of four numbers, else None."""
+    if type(v) in (list, tuple) and len(v) == 4:
+        try:
+            return tuple(map(float, v))
+        except (TypeError, ValueError):
+            pass
+    return None
+
+
+def _matrix(m) -> list:
+    """The rows of a 4x4 matrix as float tuples; other input goes through numpy's conversion."""
+    rows = [_vector(r) for r in m] if type(m) in (list, tuple) and len(m) == 4 else [None]
+    return rows if None not in rows else _checked(m, float, (4, 4), "Mueller matrix").tolist()
+
+
+def _rotation_rows(n, norm_tol: float = 1e-9) -> list:
+    n0, n1, n2, n3 = n
+    norm2 = _norm2(n)
+    if not abs(norm2 - 1.0) < norm_tol:  # NaN included
+        raise NormViolation(f"quaternion norm^2 = {norm2!r}, expected 1")
+    return [
+        [1 - 2 * (n2 * n2 + n3 * n3), -2 * n0 * n3 + 2 * n1 * n2, 2 * n0 * n2 + 2 * n1 * n3],
+        [2 * n0 * n3 + 2 * n1 * n2, 1 - 2 * (n3 * n3 + n1 * n1), -2 * n0 * n1 + 2 * n2 * n3],
+        [-2 * n0 * n2 + 2 * n1 * n3, 2 * n0 * n1 + 2 * n2 * n3, 1 - 2 * (n1 * n1 + n2 * n2)],
+    ]
+
+
+def quaternion_to_rotation(n, norm_tol: float = 1e-9):
     """Rotation matrix of a unit quaternion (n0, n1, n2, n3).
 
     Parameters
@@ -89,87 +178,68 @@ def quaternion_to_rotation(n, norm_tol: float = 1e-9) -> np.ndarray:
     numpy.ndarray, shape (3, 3)
         Proper rotation matrix (orthogonal, determinant +1).
     """
-    n = np.asarray(n, dtype=float)
-    if n.shape != (4,):
-        raise ValueError(f"quaternion must have shape (4,), got {n.shape}")
-    norm2 = float(np.dot(n, n))
-    if not abs(norm2 - 1.0) < norm_tol:  # NaN included
-        raise NormViolation(f"quaternion norm^2 = {norm2!r}, expected 1")
-    n0, n1, n2, n3 = n.tolist()
-    return np.array([
-        [1 - 2 * (n2 * n2 + n3 * n3), -2 * n0 * n3 + 2 * n1 * n2, 2 * n0 * n2 + 2 * n1 * n3],
-        [2 * n0 * n3 + 2 * n1 * n2, 1 - 2 * (n3 * n3 + n1 * n1), -2 * n0 * n1 + 2 * n2 * n3],
-        [-2 * n0 * n2 + 2 * n1 * n3, 2 * n0 * n1 + 2 * n2 * n3, 1 - 2 * (n1 * n1 + n2 * n2)],
-    ])
+    return _array(_rotation_rows(_checked(n, float, (4,), "quaternion").tolist(), norm_tol))
 
 
-def embed_rotation(r) -> np.ndarray:
+def _embed(r) -> list:
+    return [[1.0, 0.0, 0.0, 0.0], *([0.0, *row] for row in r)]
+
+
+def embed_rotation(r):
     """Mueller matrix of a pure polarization rotation (3x3 block)."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"rotation block must have shape (3, 3), got {r.shape}")
-    m = np.eye(4)
-    m[1:, 1:] = r
+    return _array(_embed(_checked(r, float, (3, 3), "rotation block").tolist()))
+
+
+def _rotation_element(axis: int, theta: float) -> list:
+    if axis not in (1, 2, 3):
+        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    n = [0.0, 0.0, 0.0, 0.0]
+    try:
+        n[0], n[axis] = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    except ValueError:  # theta = +-inf, where numpy's cos and sin give nan
+        n[0] = n[axis] = math.nan
+    return _embed(_rotation_rows(n))
+
+
+def rotation_mueller(axis: int, theta: float):
+    """Mueller matrix rotating the polarization by theta about a Stokes axis."""
+    return _array(_rotation_element(axis, theta))
+
+
+def _boost_element(axis: int, beta: float) -> list:
+    if axis not in (1, 2, 3):
+        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    try:
+        ch, sh = math.cosh(beta), math.sinh(beta)
+    except OverflowError:  # |beta| past about 710, where numpy's cosh/sinh give inf
+        ch, sh = math.inf, math.copysign(math.inf, beta)
+    m = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    m[0][0] = m[axis][axis] = ch
+    m[0][axis] = m[axis][0] = sh
     return m
 
 
-def rotation_mueller(axis: int, theta: float) -> np.ndarray:
-    """Mueller matrix rotating the polarization by theta about a Stokes axis."""
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    n = np.zeros(4)
-    n[0] = np.cos(theta / 2.0)
-    n[axis] = np.sin(theta / 2.0)
-    return embed_rotation(quaternion_to_rotation(n))
-
-
-def boost_mueller(axis: int, beta: float) -> np.ndarray:
+def boost_mueller(axis: int, beta: float):
     """Boost-type Mueller matrix of rapidity beta along a Stokes axis.
 
     Mixes intensity with the chosen polarization component through
     cosh(beta) / sinh(beta), leaving the transverse components alone.
+    math.cosh and math.sinh may differ from numpy's by an ulp or two.
     """
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
-    m = np.eye(4)
-    m[0, 0] = m[axis, axis] = np.cosh(beta)
-    m[0, axis] = m[axis, 0] = np.sinh(beta)
-    return m
+    return _array(_boost_element(axis, beta))
 
 
 def spinor_norm(k) -> complex:
     """Bilinear invariant k0^2 + kvec.kvec; equals 1 for normalized k."""
-    k0, k1, k2, k3 = np.asarray(k, dtype=complex).tolist()
+    k0, k1, k2, k3 = _checked(k, complex, (4,), "spinor parameter").tolist()
     return k0 * k0 + k1 * k1 + k2 * k2 + k3 * k3
 
 
-def lorentz_from_k(k, norm_tol: float = 1e-9, real_tol: float = 1e-9) -> np.ndarray:
-    """Mueller matrix of the Lorentz transformation with spinor parameter k.
-
-    The matrix is quadratic in (k, conj k):
-
-        L[0,0]  = |k0|^2 + kvec.conj(kvec)
-        L[0,j]  = 2*Im(k0*conj(kj)) + i*(kvec x conj(kvec))_j
-        L[j,0]  = 2*Im(k0*conj(kj)) - i*(kvec x conj(kvec))_j
-        L[i,j]  = (|k0|^2 - kvec.conj(kvec))*delta_ij + 2*Re(ki*conj(kj))
-                  - eps_ijl * 2*Re(k0*conj(kl))
-
-    k and -k give the same matrix.  The result preserves the Minkowski form
-    (L^T g L = g), has determinant +1 and L[0,0] >= 1.  The entries are Python
-    complex scalars from one ``k.tolist()``, asserted real; an imaginary residue
-    above real_tol (or NaN) means the input was not a valid parameter.
-
-    Raises NormViolation unless |k0^2 + kvec.kvec - 1| < norm_tol, and
-    NonRealResult if the imaginary residue survives.
-    """
-    k = np.asarray(k, dtype=complex)
-    if k.shape != (4,):
-        raise ValueError(f"spinor parameter must have shape (4,), got {k.shape}")
-    norm = spinor_norm(k)
+def _lorentz_rows(k, norm_tol: float = 1e-9, real_tol: float = 1e-9) -> list:
+    k0, k1, k2, k3 = k
+    norm = k0 * k0 + k1 * k1 + k2 * k2 + k3 * k3
     if abs(norm - 1.0) >= norm_tol:
         raise NormViolation(f"k0^2 + kvec.kvec = {norm!r}, expected 1")
-
-    k0, k1, k2, k3 = k.tolist()
     c0, c1, c2, c3 = k0.conjugate(), k1.conjugate(), k2.conjugate(), k3.conjugate()
     a, b = k0 * c0, k1 * c1 + k2 * c2 + k3 * c3
     # 2*Im(k0*conj(kj)), i*(kvec x conj(kvec))_j, 2*Re(k0*conj(kl)), 2*Re(ki*conj(kj))
@@ -189,49 +259,67 @@ def lorentz_from_k(k, norm_tol: float = 1e-9, real_tol: float = 1e-9) -> np.ndar
         raise NonRealResult(
             f"matrix has imaginary residue {imag_max:.3e} (tolerance {real_tol:.1e})"
         )
-    return np.array([z.real for z in out]).reshape(4, 4)
+    real = [z.real for z in out]
+    return [real[0:4], real[4:8], real[8:12], real[12:16]]
 
 
-def k_from_q(q) -> np.ndarray:
+def lorentz_from_k(k, norm_tol: float = 1e-9, real_tol: float = 1e-9):
+    """Mueller matrix of the Lorentz transformation with spinor parameter k.
+
+    The matrix is quadratic in (k, conj k):
+
+        L[0,0]  = |k0|^2 + kvec.conj(kvec)
+        L[0,j]  = 2*Im(k0*conj(kj)) + i*(kvec x conj(kvec))_j
+        L[j,0]  = 2*Im(k0*conj(kj)) - i*(kvec x conj(kvec))_j
+        L[i,j]  = (|k0|^2 - kvec.conj(kvec))*delta_ij + 2*Re(ki*conj(kj))
+                  - eps_ijl * 2*Re(k0*conj(kl))
+
+    k and -k give the same matrix.  The result preserves the Minkowski form
+    (L^T g L = g), has determinant +1 and L[0,0] >= 1.  The entries are Python
+    complex scalars, asserted real; an imaginary residue above real_tol (or
+    NaN) means the input was not a valid parameter.
+
+    Raises NormViolation unless |k0^2 + kvec.kvec - 1| < norm_tol, and
+    NonRealResult if the imaginary residue survives.
+    """
+    return _array(_lorentz_rows(_checked(k, complex, (4,), "spinor parameter").tolist(), norm_tol, real_tol))
+
+
+def _k_from_q(q) -> list:
+    denom = 1.0 - _square(q)
+    if abs(denom) < 1e-12:
+        raise SingularParameter(f"1 - q.q = {denom!r} is singular")
+    k0 = _cdiv(1.0, _sqrt(denom))  # principal branch: Re(k0) >= 0
+    return _canonical([k0] + [_cmul(1j * z, k0) for z in q])
+
+
+def k_from_q(q):
     """Normalized spinor parameter with non-negative Re(k0) from q.
 
     Inverts i*q = kvec/k0 under the normalization k0^2 + kvec.kvec = 1,
     which pins k0 = 1/sqrt(1 - q.q).  Raises SingularParameter when the
     normalization denominator 1 - q.q vanishes.
     """
-    q = np.asarray(q, dtype=complex)
-    if q.shape != (3,):
-        raise ValueError(f"vector parameter must have shape (3,), got {q.shape}")
-    denom = 1.0 - np.dot(q, q)
-    if abs(denom) < 1e-12:
-        raise SingularParameter(f"1 - q.q = {complex(denom)!r} is singular")
-    k0 = 1.0 / np.sqrt(denom)  # principal branch: Re(k0) >= 0
-    k = np.concatenate(([k0], 1j * q * k0))
-    return canonical_spinor_sign(k)
+    return _array(_k_from_q(_checked(q, complex, (3,), "vector parameter").tolist()))
 
 
-def q_from_k(k) -> np.ndarray:
-    """Vector parameter q = kvec/(i*k0); inverse of k_from_q away from k0 = 0."""
-    k = np.asarray(k, dtype=complex)
-    if abs(k[0]) < 1e-14:
-        raise SingularParameter("k0 = 0 has no finite vector parameter")
-    return -1j * k[1:] / k[0]
+def _canonical(k: list) -> list:
+    for z in k:
+        for x in (z.real, z.imag):
+            if x > 0.0:
+                return k
+            if x < 0.0:
+                return [-z for z in k]
+    return k
 
 
-def canonical_spinor_sign(k) -> np.ndarray:
+def canonical_spinor_sign(k):
     """Resolve the +-k ambiguity deterministically.
 
     Keeps the sign making Re(k0) > 0; on a tie, the first nonzero entry of
     (Im k0, Re k1, Im k1, Re k2, Im k2, Re k3, Im k3) is made positive.
     """
-    k = np.asarray(k, dtype=complex)
-    for z in k.tolist():
-        for x in (z.real, z.imag):
-            if x > 0.0:
-                return k
-            if x < 0.0:
-                return -k
-    return k
+    return _array(_canonical(_checked(k, complex, (4,), "spinor parameter").tolist()))
 
 
 def _det4(m) -> float:
@@ -250,10 +338,11 @@ def is_lorentzian(m, tol: float = 1e-9) -> MuellerClass:
     LORENTZ when ||M^T g M - g||_max < tol * ||M||_max^2 together with
     det M > 0 and M[0,0] > 0; ROTATION when additionally the first row and
     column equal (1, 0, 0, 0) within tol; NOT_LORENTZIAN otherwise, also for
-    NaN.  All on Python floats from one ``m.tolist()``, det M in 2x2 minors.
+    NaN.  All on Python floats, det M in 2x2 minors; nested lists of floats
+    are read without numpy.
     """
     _check_tolerance(tol)
-    rows = as_mueller(m).tolist()
+    rows = _matrix(m)
     flat = rows[0] + rows[1] + rows[2] + rows[3]
     scale = max(map(abs, flat))
     if scale == 0.0:

@@ -15,6 +15,7 @@ Exit codes:
      normalization, rebuild off the group); a partial report goes to stderr
   5  measurements incompatible with the requested model (not lorentzian /
      not rotation-type)
+  141  stdout closed by its reader before the output was written
 
 Codes 3-5 are the ``exit_code`` of the LorentzpolError raised; any error
 raised while reading input or building the element exits 2.
@@ -24,29 +25,27 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import jsonio
-from .algebra import (
-    MuellerClass,
-    _check_tolerance,
-    boost_mueller,
-    embed_rotation,
-    is_lorentzian,
-    k_from_q,
-    lorentz_from_k,
-    quaternion_to_rotation,
-    rotation_mueller,
-)
+from .algebra import (MuellerClass, _boost_element, _check_tolerance, _k_from_q, _lorentz_rows, _norm2,
+                      _rotation_element, is_lorentzian)
 from .errors import LorentzpolError
 from .lorentz import recover_parameters, verify_round_trip
-from .probes import (
-    LorentzResiduals, MeasurementSet, NoiseSpec, lorentz_residuals, reconstruct_mueller, simulate_measurements,
-)
-from .rotation import recover_quaternion, rotation_from_measurements
+from .probes import LorentzResiduals, MeasurementSet, NoiseSpec, _simulate, lorentz_residuals
+
+# These stages keep the names of the public functions whose work they do, the names
+# benchmark/run.py traces on this module; they are those functions' float kernels,
+# which take and return lists, so that the CLI builds no array.
+from .algebra import _embed as embed_rotation, _rotation_rows as quaternion_to_rotation
+from .probes import _mueller_rows as reconstruct_mueller
+from .rotation import _quaternion as recover_quaternion, _rotation_block as rotation_from_measurements
+
+# argparse takes "-1e-3" or "-0.3+0.1j" for an option unless its negative-number pattern matches
+NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 def _fail(message: str, code: int) -> int:
@@ -54,8 +53,8 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def build_element(args) -> np.ndarray:
-    """Turn the element flags into a 4x4 Mueller matrix."""
+def build_element(args) -> list:
+    """Turn the element flags into the rows of a 4x4 Mueller matrix."""
     given = [
         name for name in ("boost", "rotation", "quaternion", "qparam", "matrix")
         if getattr(args, name) is not None
@@ -68,39 +67,37 @@ def build_element(args) -> np.ndarray:
     if kind == "boost":
         if args.beta is None:
             raise ValueError("--boost requires --beta")
-        return boost_mueller(args.boost, args.beta)
+        return _boost_element(args.boost, args.beta)
     if kind == "rotation":
         if args.theta is None:
             raise ValueError("--rotation requires --theta")
-        return rotation_mueller(args.rotation, args.theta)
+        return _rotation_element(args.rotation, args.theta)
     if kind == "quaternion":
-        return embed_rotation(quaternion_to_rotation(np.array(args.quaternion), norm_tol=1e-6))
+        return embed_rotation(quaternion_to_rotation(args.quaternion, norm_tol=1e-6))
     if kind == "qparam":
-        return lorentz_from_k(k_from_q(np.array(args.qparam)))
+        return _lorentz_rows(_k_from_q(args.qparam))
     tokens = args.matrix
     if tokens == ["identity"]:
-        return np.eye(4)
+        return [[float(i == j) for j in range(4)] for i in range(4)]
     if len(tokens) != 16:
         raise ValueError(f"--matrix needs 'identity' or 16 numbers, got {len(tokens)}")
     try:
         values = [float(t) for t in tokens]
     except ValueError as exc:
         raise ValueError(f"bad matrix entry: {exc}") from exc
-    return np.array(values).reshape(4, 4)
+    return [values[i:i + 4] for i in range(0, 16, 4)]
 
 
 def cmd_simulate(args) -> int:
-    # an overflowing element (a large --beta) ends in one error line, no RuntimeWarnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            element = build_element(args)
-            noise = NoiseSpec(args.noise, args.seed)
-        except (ValueError, LorentzpolError) as exc:
-            return _fail(str(exc), 2)
-        try:
-            ms = simulate_measurements(element, args.intensity, noise)
-        except (ValueError, LorentzpolError) as exc:  # ValueError: non-finite or out-of-range outputs
-            return _fail(str(exc), getattr(exc, "exit_code", 2))
+    try:
+        element = build_element(args)
+        noise = NoiseSpec(args.noise, args.seed)
+    except (ValueError, LorentzpolError) as exc:
+        return _fail(str(exc), 2)
+    try:
+        ms = _simulate(element, args.intensity, noise)
+    except (ValueError, LorentzpolError) as exc:  # ValueError: non-finite or out-of-range outputs
+        return _fail(str(exc), getattr(exc, "exit_code", 2))
     print(ms.to_json())
     return 0
 
@@ -122,7 +119,7 @@ class NotLorentzianInput(LorentzpolError):
         super().__init__(f"normalized residual {residuals.normalized_max:.6g} exceeds tol {tol:g}")
         self.report = {
             "error": str(self),
-            "lorentz_residuals": residuals.as_array(),
+            "lorentz_residuals": residuals.values(),
             "max_normalized_residual": residuals.normalized_max,
             "tolerance": tol,
         }
@@ -132,13 +129,14 @@ def _rotation_payload(ms: MeasurementSet, tol: float) -> dict:
     block = rotation_from_measurements(ms, tol)
     # a loose --tol admits noisy data, so loosen the extraction gate with it
     quaternion = recover_quaternion(block, ortho_tol=max(1e-6, tol))
-    unit = quaternion / math.sqrt(np.dot(quaternion, quaternion))  # np.linalg.norm's 1-D formula
-    rebuilt, direct = embed_rotation(quaternion_to_rotation(unit)).tolist(), reconstruct_mueller(ms).tolist()
+    norm = math.sqrt(_norm2(quaternion))  # np.linalg.norm's 1-D formula
+    unit = [x / norm for x in quaternion]
+    rebuilt, direct = embed_rotation(quaternion_to_rotation(unit)), reconstruct_mueller(ms)
     deviation = max([abs(x - y) for r, d in zip(rebuilt, direct) for x, y in zip(r, d)])
     return {
         "quaternion": quaternion,
         "round_trip_max_dev": deviation,
-        "lorentz_residuals": lorentz_residuals(ms).as_array(),
+        "lorentz_residuals": lorentz_residuals(ms).values(),
     }
 
 
@@ -165,7 +163,7 @@ def _recover_payload(ms: MeasurementSet, model: str, tol: float) -> dict:
         trip = verify_round_trip(ms, tol)
         payload.update({
             "matrix": matrix,
-            "lorentz_residuals": trip.residuals.as_array(),
+            "lorentz_residuals": trip.residuals.values(),
             "max_normalized_residual": trip.residuals.normalized_max,
         })
         if trip.max_deviation is not None:
@@ -187,7 +185,7 @@ def _recover_one(path: str, model: str, tol: float) -> tuple[int, str, str]:
         report = exc.report if isinstance(exc, NotLorentzianInput) else {
             "error": f"{type(exc).__name__}: {exc}",
             "matrix": reconstruct_mueller(ms),
-            "lorentz_residuals": lorentz_residuals(ms).as_array(),
+            "lorentz_residuals": lorentz_residuals(ms).values(),
         }
         return exc.exit_code, "", jsonio.dumps(report)
     return 0, jsonio.dumps(payload), ""
@@ -235,7 +233,7 @@ def cmd_classify(args) -> int:
         return _fail(f"cannot read measurements from {args.input!r}: {exc}", 2)
     classification = is_lorentzian(reconstruct_mueller(ms), args.tol)
     residuals = lorentz_residuals(ms)
-    values = ", ".join(jsonio.format_number(x) for x in residuals.as_array())
+    values = ", ".join(jsonio.format_number(x) for x in residuals.values())
     print(
         f"{classification.value} residuals=[{values}] "
         f"max_normalized={jsonio.format_number(residuals.normalized_max)} tol={args.tol:g}"
@@ -286,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("input", nargs="?", default="-", help="measurement JSON file, '-' for stdin")
     cls.add_argument("--tol", type=_tolerance, default=1e-9, help="classification tolerance (default 1e-9)")
     cls.set_defaults(func=cmd_classify)
+    for sub_parser in (sim, rec, cls):
+        sub_parser._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 
@@ -299,7 +299,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader that went away shows here, not at interpreter exit
+    except BrokenPipeError:  # e.g. `lorentzpol simulate ... | head -c 80`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # nothing left to flush at exit
+        code = 141  # 128 + SIGPIPE, as a shell reports a writer killed by the closed pipe
+    sys.exit(code)
 
 
 if __name__ == "__main__":

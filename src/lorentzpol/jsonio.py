@@ -4,22 +4,24 @@ Numbers are written with 17 significant digits so that emitted files are
 byte-stable and round-trip to the same IEEE-754 doubles.  Key order is the
 insertion order of the dicts handed in, which the callers keep fixed.
 
-``dumps`` tests the types reports are made of (an exact float, a dict, an exact
-float ndarray) before the rest; every path gives ``format_number``'s bytes, and a
-non-finite value raises its ``ValueError``.
+``dumps`` tests the types reports are made of (an exact float, a dict, a list
+or tuple of exact floats) before the rest; every path gives ``format_number``'s
+bytes, and a non-finite value raises its ``ValueError``.  numpy types are
+recognised once numpy is imported: before that no numpy object can exist, and
+this module does not import it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 
 def format_number(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
+    np = sys.modules.get("numpy")
+    if isinstance(x, bool) or np is not None and isinstance(x, np.bool_):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, int) or np is not None and isinstance(x, np.integer):
         return str(int(x))
     x = float(x)
     if not math.isfinite(x):
@@ -37,10 +39,11 @@ _ROW = _RowFormats()
 
 
 def dumps(obj) -> str:
-    """Serialize dict/list/str/number/None with fixed float formatting.
+    """Serialize dict/list/tuple/str/number/None, and ndarrays as their lists,
+    with fixed float formatting.
 
-    Float arrays up to 2-D are formatted one row at a time, to the same bytes
-    as the element-wise path; a finite double never prints an "n".
+    A row of floats is formatted in one step, to the same bytes as the
+    element-wise path.
     """
     kind = type(obj)
     if kind is float:
@@ -48,17 +51,13 @@ def dumps(obj) -> str:
         return format_number(obj) if "n" in text else text  # nan or inf: raises
     if isinstance(obj, dict):
         return "{" + ", ".join([f'"{key}": {dumps(value)}' for key, value in obj.items()]) + "}"
-    if kind is np.ndarray and obj.dtype.kind == "f" and obj.ndim <= 2:
-        if obj.ndim == 0:
-            return format_number(obj.item())
-        if obj.ndim == 1:
-            values = obj.tolist()
-            text = _ROW[len(values)] % tuple(values)
-        else:
-            text = "[" + ", ".join([_ROW[len(row)] % tuple(row) for row in obj.tolist()]) + "]"
-        if "n" in text:  # nan or inf
-            format_number(obj[~np.isfinite(obj)][0])  # raises format_number's ValueError
-        return text
+    if isinstance(obj, (list, tuple)):
+        if all([type(x) is float for x in obj]):
+            text = _ROW[len(obj)] % tuple(obj)
+            if "n" in text:  # nan or inf; a finite double never prints an "n"
+                format_number(next(x for x in obj if not math.isfinite(x)))  # raises its ValueError
+            return text
+        return "[" + ", ".join([dumps(value) for value in obj]) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, str):
@@ -67,6 +66,7 @@ def dumps(obj) -> str:
             obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         )
         return f'"{escaped}"'
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(dumps(value) for value in obj) + "]"
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray):
+        return dumps(obj.tolist())
     return format_number(obj)

@@ -19,12 +19,11 @@ and the vector parameter q = (M - i*N)/delta follows without the sign
 ambiguity.  delta = 0 (trace-free elements, e.g. pi rotations composed
 with boosts) is a hard singularity of the method.
 
-Recovery is a single pass over one ``.tolist()`` of the 16 outputs; delta, M, N,
-k and q come from it as Python float and complex scalars, and Lambda is never built.
-q = (a + i*b)/ts, with a = M numerator, b = 0.0 - Im numerator and ts the trace sum,
-is divided with numpy's own formula for a divisor ts + 0j: rat = 0.0/ts,
-scl = 1.0/(ts + 0.0*rat), re = (a + b*rat)*scl, im = (b - a*rat)*scl.  That keeps
-the bytes of the array division; complex(a, b)/ts would move them.
+Recovery is a single pass over the 16 outputs, which a measurement set keeps as
+Python floats; delta, M, N, k and q come from it as Python float and complex
+scalars, arrays are built only when a caller reads them, and Lambda is never built.
+q is divided by the trace sum with numpy's complex-division formula, which keeps
+the bytes of the array division; Python's complex division would move them.
 """
 
 from __future__ import annotations
@@ -33,34 +32,35 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .algebra import canonical_spinor_sign, lorentz_from_k
+from .algebra import _array, _array_view, _canonical, _cdiv, _lorentz_rows, _square
 from .errors import DegenerateTrace, LorentzpolError, SingularNormalization
 from .probes import LorentzResiduals, MeasurementSet, _mueller_rows, lorentz_residuals
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Full parameter set recovered from one measurement set."""
+    """Full parameter set recovered from one measurement set.
+
+    ``vectors`` holds M, N, k and q as lists of Python floats and complex
+    numbers; mvec, nvec, k and q are their arrays.
+    """
 
     delta: float
-    mvec: np.ndarray
-    nvec: np.ndarray
-    k: np.ndarray
-    q: np.ndarray
+    vectors: tuple
     round_trip_max_dev: float
     residuals: LorentzResiduals
+    mvec, nvec, k, q = (_array_view("vectors", i) for i in range(4))
 
     def to_json_dict(self) -> dict:
+        mvec, nvec, k, q = self.vectors
         return {
             "delta": self.delta,
-            "M": self.mvec,
-            "N": self.nvec,
-            "k": {"re": self.k.real, "im": self.k.imag},
-            "q": {"re": self.q.real, "im": self.q.imag},
+            "M": mvec,
+            "N": nvec,
+            "k": {"re": [z.real for z in k], "im": [z.imag for z in k]},
+            "q": {"re": [z.real for z in q], "im": [z.imag for z in q]},
             "round_trip_max_dev": self.round_trip_max_dev,
-            "lorentz_residuals": self.residuals.as_array(),
+            "lorentz_residuals": self.residuals.values(),
         }
 
 
@@ -78,9 +78,7 @@ class RoundTripReport:
 def _read(ms: MeasurementSet) -> tuple[float, list, list, list]:
     """The 16 outputs read once as floats: the trace sum and the numerators
     of M, N and Im q (the last grouped as in recover_q's formula)."""
-    (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
-        s.tolist() for s in ms.outputs()
-    )
+    (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = ms.stokes
     trace_sum = f0 + (a1 - f1) + (b2 - f2) + (c3 - f3)
     m = [f0 - f1 - a0, f0 - f2 - b0, f0 - f3 - c0]
     n = [f2 - f3 - c2 + b3, f3 - f1 - a3 + c1, f1 - f2 - b1 + a2]
@@ -107,49 +105,44 @@ def delta_from_trace(ms: MeasurementSet, eps: float = 1e-10) -> float:
     return _delta(_read(ms)[0], ms.intensity, eps)
 
 
-def mn_from_antisymmetric(ms: MeasurementSet, delta: float) -> tuple[np.ndarray, np.ndarray]:
+def mn_from_antisymmetric(ms: MeasurementSet, delta: float) -> tuple:
     """Boost vector M and rotation vector N from the antisymmetric part."""
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     _, m, n, _ = _read(ms)
     scale = 4.0 * ms.intensity * delta
-    return np.array(m) / scale, np.array(n) / scale
+    return _array([x / scale for x in m]), _array([x / scale for x in n])
 
 
-def _extract(ms: MeasurementSet) -> tuple[float, float, list, list, np.ndarray]:
-    """The single pass: (trace_sum, delta, M, N, q) from one read; M, N as float lists."""
+def _extract(ms: MeasurementSet) -> tuple[float, float, list, list, list]:
+    """The single pass: (trace_sum, delta, M, N, q) from one read; M, N, q as lists."""
     trace_sum, m, n, q_im = _read(ms)
     delta = _delta(trace_sum, ms.intensity)
     scale = 4.0 * ms.intensity * delta
-    # q = (m - i*q_im) / trace_sum in numpy's division formula (module docstring)
-    rat = 0.0 / trace_sum
-    scl = 1.0 / (trace_sum + 0.0 * rat)
-    q = np.array([complex((a + b * rat) * scl, (b - a * rat) * scl)
-                  for a, b in zip(m, [0.0 - x for x in q_im])])
+    q = [_cdiv(complex(a, 0.0 - b), trace_sum) for a, b in zip(m, q_im)]  # (m - i*q_im) / trace_sum
     return trace_sum, delta, [x / scale for x in m], [x / scale for x in n], q
 
 
-def _assemble_k(delta: float, mvec: list, nvec: list) -> np.ndarray:
+def _assemble_k(delta: float, mvec: list, nvec: list) -> list:
     v = [complex(n, m) for n, m in zip(nvec, mvec)]
-    # np.dot rounds the norm as the BLAS kernel does, which keeps emitted k where earlier
-    # releases put it (within 1 ulp); a Python sum would move it by up to 5 ulp
-    va = np.array(v)
-    norm2 = delta ** 2 + complex(np.dot(va, va))
+    # v.v rounded as the BLAS dot of earlier releases rounds it, fused multiply-adds
+    # included; a plain Python sum would move the emitted k by up to 5 ulp
+    norm2 = delta ** 2 + _square(v)
     if abs(norm2) < 1e-12:
         raise SingularNormalization(
             f"delta^2 + (N + iM).(N + iM) = {norm2!r} is singular"
         )
     root = cmath.sqrt(norm2)
-    return canonical_spinor_sign(np.array([delta / root] + [z / root for z in v]))
+    return _canonical([delta / root] + [z / root for z in v])
 
 
-def recover_k(ms: MeasurementSet) -> np.ndarray:
+def recover_k(ms: MeasurementSet):
     """Normalized spinor parameter of the measured element, canonical sign."""
     _, delta, mvec, nvec, _ = _extract(ms)
-    return _assemble_k(delta, mvec, nvec)
+    return _array(_assemble_k(delta, mvec, nvec))
 
 
-def recover_q(ms: MeasurementSet) -> np.ndarray:
+def recover_q(ms: MeasurementSet):
     """Vector parameter q straight from the measured Stokes vectors.
 
     Componentwise (trace_sum in the denominator throughout):
@@ -163,7 +156,7 @@ def recover_q(ms: MeasurementSet) -> np.ndarray:
     """
     _, delta, mvec, nvec, q = _extract(ms)
     _assemble_k(delta, mvec, nvec)  # parity with recover_k's singularity guard
-    return q
+    return _array(q)
 
 
 def recover_parameters(ms: MeasurementSet) -> RecoveryResult:
@@ -176,9 +169,9 @@ def recover_parameters(ms: MeasurementSet) -> RecoveryResult:
     """
     _, delta, mvec, nvec, q = _extract(ms)
     k = _assemble_k(delta, mvec, nvec)
-    rebuilt, direct = lorentz_from_k(k).tolist(), _mueller_rows(ms)
+    rebuilt, direct = _lorentz_rows(k), _mueller_rows(ms)
     deviation = max([abs(x - y) for r, d in zip(rebuilt, direct) for x, y in zip(r, d)])
-    return RecoveryResult(delta, np.array(mvec), np.array(nvec), k, q, deviation, lorentz_residuals(ms))
+    return RecoveryResult(delta, (mvec, nvec, k, q), deviation, lorentz_residuals(ms))
 
 
 def verify_round_trip(ms: MeasurementSet, tol: float = 1e-9) -> RoundTripReport:

@@ -8,11 +8,10 @@ part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .algebra import _check_tolerance
+from .algebra import _array, _check_tolerance, _checked
 from .errors import NearPiRotation, NotRotation, NotRotationType
 from .probes import MeasurementSet
 
@@ -21,9 +20,9 @@ from .probes import MeasurementSet
 class PolarizationTriad:
     """Output polarization vectors of the three polarized probes."""
 
-    p1: np.ndarray
-    p2: np.ndarray
-    p3: np.ndarray
+    p1: "numpy.ndarray"
+    p2: "numpy.ndarray"
+    p3: "numpy.ndarray"
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,7 @@ def validate_triad(triad: PolarizationTriad, tol: float) -> TriadReport:
     (triple product +1); each is reported with its residual and a pass/fail
     flag at the given tolerance.
     """
+    import numpy as np
     _check_tolerance(tol)
     p = (triad.p1, triad.p2, triad.p3)
     checks = []
@@ -64,42 +64,30 @@ def validate_triad(triad: PolarizationTriad, tol: float) -> TriadReport:
     return TriadReport(results, all(c.passed for c in results))
 
 
-def rotation_from_measurements(ms: MeasurementSet, tol: float = 1e-9) -> np.ndarray:
+def _rotation_block(ms: MeasurementSet, tol: float) -> list:
+    _check_tolerance(tol)
+    i = ms.intensity
+    (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = ms.stokes
+    dev = max(abs(f0 - i), abs(f1), abs(f2), abs(f3), abs(a0 - i), abs(b0 - i), abs(c0 - i))
+    if dev > tol * i:
+        raise NotRotationType(
+            f"measurements deviate from rotation form by {dev / i:.3e} relative"
+        )
+    return [[a1 / i, b1 / i, c1 / i], [a2 / i, b2 / i, c2 / i], [a3 / i, b3 / i, c3 / i]]
+
+
+def rotation_from_measurements(ms: MeasurementSet, tol: float = 1e-9):
     """3x3 rotation block of a rotation-type element, columns = output triad.
 
     Raises NotRotationType when the natural probe acquires polarization or
     any probe intensity changes by more than tol relative to I, which
     signals boost content.
     """
-    _check_tolerance(tol)
-    i = ms.intensity
-    (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
-        s.tolist() for s in ms.outputs()
-    )
-    dev = max(abs(f0 - i), abs(f1), abs(f2), abs(f3), abs(a0 - i), abs(b0 - i), abs(c0 - i))
-    if dev > tol * i:
-        raise NotRotationType(
-            f"measurements deviate from rotation form by {dev / i:.3e} relative"
-        )
-    return np.array([[a1 / i, b1 / i, c1 / i], [a2 / i, b2 / i, c2 / i], [a3 / i, b3 / i, c3 / i]])
+    return _array(_rotation_block(ms, tol))
 
 
-def recover_quaternion(r, ortho_tol: float = 1e-6, trace_eps: float = 1e-8) -> np.ndarray:
-    """Unit quaternion (n0 >= 0) of a proper rotation matrix.
-
-    n0 comes from the trace, the axis part from the antisymmetric part:
-
-        2*n0 = sqrt(trace + 1)
-        n    = (r[2,1]-r[1,2], r[0,2]-r[2,0], r[1,0]-r[0,1]) / (2*sqrt(trace+1))
-
-    Raises NotRotation if r is not orthogonal with determinant +1 within
-    ortho_tol, and NearPiRotation when trace + 1 <= trace_eps, where this
-    extraction divides by zero (rotations by pi).
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"rotation matrix must have shape (3, 3), got {r.shape}")
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows = r.tolist()
+def _quaternion(rows: list, ortho_tol: float = 1e-6, trace_eps: float = 1e-8) -> list:
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     c0, c1, c2 = zip(*rows)
     # (R^T R - 1)[i, j] for j >= i, and det R along the first row, on Python floats
     ortho_dev = max([abs(a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - g) for a, b, g in (
@@ -114,13 +102,23 @@ def recover_quaternion(r, ortho_tol: float = 1e-6, trace_eps: float = 1e-8) -> n
         raise NearPiRotation(
             f"trace + 1 = {trace1:.3e}: extraction singular near pi rotations"
         )
-    s = np.sqrt(trace1)
-    return np.array([
-        s / 2.0,
-        (r21 - r12) / (2.0 * s),
-        (r02 - r20) / (2.0 * s),
-        (r10 - r01) / (2.0 * s),
-    ])
+    s = math.sqrt(trace1)
+    return [s / 2.0, (r21 - r12) / (2.0 * s), (r02 - r20) / (2.0 * s), (r10 - r01) / (2.0 * s)]
+
+
+def recover_quaternion(r, ortho_tol: float = 1e-6, trace_eps: float = 1e-8):
+    """Unit quaternion (n0 >= 0) of a proper rotation matrix.
+
+    n0 comes from the trace, the axis part from the antisymmetric part:
+
+        2*n0 = sqrt(trace + 1)
+        n    = (r[2,1]-r[1,2], r[0,2]-r[2,0], r[1,0]-r[0,1]) / (2*sqrt(trace+1))
+
+    Raises NotRotation if r is not orthogonal with determinant +1 within
+    ortho_tol, and NearPiRotation when trace + 1 <= trace_eps, where this
+    extraction divides by zero (rotations by pi).
+    """
+    return _array(_quaternion(_checked(r, float, (3, 3), "rotation matrix").tolist(), ortho_tol, trace_eps))
 
 
 def rotation_identity_sum(r) -> float:
@@ -129,6 +127,7 @@ def rotation_identity_sum(r) -> float:
     (trace+1) plus the squared antisymmetric differences over (trace+1) is
     exactly four times the quaternion norm, hence 4.
     """
+    import numpy as np
     r = np.asarray(r, dtype=float)
     trace1 = float(np.trace(r)) + 1.0
     return trace1 + (

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -435,3 +436,86 @@ def test_golden_recover_bytes():
         capture_output=True, check=True,
     )
     assert result.stdout == (GOLDEN / "recover_boost3_ln2.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, attached", [
+    (("--boost", "3", "--beta", "-1e-3"), ("--boost", "3", "--beta=-1e-3")),
+    (("--quaternion", "1", "0", "0", "-1e-9"), None),
+    (("--qparam", "0.1", "-0.3+0.1j", "0.2"), None),
+], ids=["exponent", "quaternion_exponent", "complex"])
+def test_simulate_takes_negative_numbers_with_exponent_or_imaginary_part(capsys, argv, attached):
+    # argparse's own pattern for negative numbers knows neither form
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert (code, err) == (0, ""), err
+    assert json.loads(out)["intensity"] == 1
+    if attached:
+        assert run_cli(capsys, "simulate", *attached)[1] == out
+
+
+def test_simulate_into_closed_pipe_exits_141_without_traceback():
+    # the reader has gone before the first write, as `simulate ... | head -c 80` can leave it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "lorentzpol", "simulate", "--boost", "3", "--beta", LN2_TEXT],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, "")
+
+
+# runs the CLI in a fresh interpreter, then reports on stderr whether numpy was loaded
+NUMPY_PROBE = ("import sys; from lorentzpol.cli import main; code = main(sys.argv[1:]); "
+               "print('numpy loaded' if 'numpy' in sys.modules else 'numpy not loaded', file=sys.stderr); "
+               "sys.exit(code)")
+
+
+def _numpy_probe(*argv):
+    return subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_import_loads_no_numpy():
+    result = subprocess.run([sys.executable, "-c", "import sys, lorentzpol.cli; print('numpy' in sys.modules)"],
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout == "False\n", result.stderr
+
+
+@pytest.mark.parametrize("element, model, code", [
+    ("general", "auto", 0), ("rotation", "auto", 0), ("noisy", "auto", 0),
+    ("general", "lorentz", 0), ("rotation", "rotation", 0), ("general", "raw", 0),
+    ("general", "batch", 0), ("general", "classify", 0), ("rotation", "classify", 1),
+])
+def test_recover_and_classify_load_no_numpy(tmp_path, element, model, code):
+    matrix = {
+        "general": lp.lorentz_from_k(lp.k_from_q([0.2 + 0.1j, -0.3j, 0.25])),
+        "rotation": lp.rotation_mueller(2, 0.8),
+        "noisy": lp.boost_mueller(3, 0.5),
+    }[element]
+    noise = lp.NoiseSpec(1e-4, 3) if element == "noisy" else None
+    path = tmp_path / "set.json"
+    path.write_text(lp.simulate_measurements(matrix, 1.3, noise).to_json())
+    if model == "batch":
+        argv = ("recover", "--batch", str(tmp_path))
+    elif model == "classify":
+        argv = ("classify", str(path))
+    else:
+        argv = ("recover", str(path), "--model", model)
+    result = _numpy_probe(*argv)
+    assert result.returncode == code, result.stderr
+    assert result.stderr.splitlines()[-1] == "numpy not loaded"
+
+
+@pytest.mark.parametrize("spec", [
+    ("--boost", "3", "--beta", LN2_TEXT), ("--rotation", "1", "--theta", "0.7"),
+    ("--quaternion", "0.8", "0.2", "-0.4", "0.4"), ("--qparam", "0.1+0.2j", "-0.3", "0.2j"),
+    ("--matrix", "identity"), ("--matrix", *map(str, range(16))),
+], ids=["boost", "rotation", "quaternion", "qparam", "identity", "matrix"])
+def test_noiseless_simulate_loads_no_numpy(spec):
+    result = _numpy_probe("simulate", *spec)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "numpy not loaded\n"
+    noisy = _numpy_probe("simulate", *spec, "--noise", "1e-3")
+    assert noisy.returncode == 0 and noisy.stderr == "numpy loaded\n"  # the PCG64 stream needs it

@@ -212,3 +212,9 @@ def test_json_rejects_non_numeric_entries(intensity, f):
     with pytest.raises(ValueError, match="^malformed measurement JSON: ") as info:
         lp.MeasurementSet.from_json(text)
     assert "missing" not in str(info.value)
+
+
+def test_json_rejects_deep_nesting():
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    with pytest.raises(ValueError, match="^malformed measurement JSON: "):
+        lp.MeasurementSet.from_json("[" * 100000 + "]" * 100000)

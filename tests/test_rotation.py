@@ -139,10 +139,11 @@ def test_rotation_payload_matches_numpy_expressions_bitwise(n, intensity, eps, s
     # through np.abs(...).max(); the scalar forms give the same bits
     element = lp.embed_rotation(lp.quaternion_to_rotation(n))
     ms = lp.simulate_measurements(element, intensity, lp.NoiseSpec(eps * intensity, seed))
-    with mock.patch.object(cli, "quaternion_to_rotation", wraps=lp.quaternion_to_rotation) as spy:
+    with mock.patch.object(cli, "quaternion_to_rotation", wraps=cli.quaternion_to_rotation) as spy:
         payload = cli._rotation_payload(ms, 1e-5 if eps else 1e-9)
-    unit = payload["quaternion"] / np.linalg.norm(payload["quaternion"])
-    assert spy.call_args.args[0].tobytes() == unit.tobytes()
+    quaternion = np.array(payload["quaternion"])
+    unit = quaternion / np.linalg.norm(quaternion)
+    assert np.array(spy.call_args.args[0]).tobytes() == unit.tobytes()
     rebuilt = lp.embed_rotation(lp.quaternion_to_rotation(unit))
     deviation = float(np.abs(rebuilt - lp.reconstruct_mueller(ms)).max())
     assert type(payload["round_trip_max_dev"]) is float
