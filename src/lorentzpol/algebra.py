@@ -134,6 +134,39 @@ def _array_view(field: str, index: int) -> property:
     return property(lambda self: _array(getattr(self, field)[index]))
 
 
+class _Value:
+    """Base of the immutable result and input types.
+
+    A subclass names its fields in ``_fields`` and sets them in its own
+    ``__init__`` with ``object.__setattr__``.  Equality (within one class),
+    hash and repr go by those fields as a frozen dataclass's do, and
+    assigning or deleting any attribute raises AttributeError.
+    """
+
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _vector(v) -> tuple | None:
     """v as four floats when it is a list or tuple of four numbers, else None."""
     if type(v) in (list, tuple) and len(v) == 4:

@@ -28,7 +28,6 @@ import math
 import os
 import re
 import sys
-from pathlib import Path
 
 from . import jsonio
 from .algebra import (MuellerClass, _boost_element, _check_tolerance, _k_from_q, _lorentz_rows, _norm2,
@@ -106,7 +105,8 @@ def _load_measurements(path: str) -> MeasurementSet:
     if path == "-":
         text = sys.stdin.read()
     else:
-        text = Path(path).read_text()
+        with open(path) as file:
+            text = file.read()
     return MeasurementSet.from_json(text)
 
 
@@ -203,6 +203,8 @@ def cmd_recover(args) -> int:
 
 
 def _recover_batch(args) -> int:
+    from pathlib import Path  # only a batch walks a directory; one-file processes skip the import
+
     directory = Path(args.batch)
     if not directory.is_dir():
         return _fail(f"--batch target {directory} is not a directory", 2)

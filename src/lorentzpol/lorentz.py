@@ -30,26 +30,27 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .algebra import _array, _array_view, _canonical, _cdiv, _lorentz_rows, _square
+from .algebra import _Value, _array, _array_view, _canonical, _cdiv, _lorentz_rows, _square
 from .errors import DegenerateTrace, LorentzpolError, SingularNormalization
 from .probes import LorentzResiduals, MeasurementSet, _mueller_rows, lorentz_residuals
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
+class RecoveryResult(_Value):
     """Full parameter set recovered from one measurement set.
 
     ``vectors`` holds M, N, k and q as lists of Python floats and complex
     numbers; mvec, nvec, k and q are their arrays.
     """
 
-    delta: float
-    vectors: tuple
-    round_trip_max_dev: float
-    residuals: LorentzResiduals
+    _fields = ("delta", "vectors", "round_trip_max_dev", "residuals")
     mvec, nvec, k, q = (_array_view("vectors", i) for i in range(4))
+
+    def __init__(self, delta: float, vectors: tuple, round_trip_max_dev: float, residuals: LorentzResiduals):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "round_trip_max_dev", round_trip_max_dev)
+        object.__setattr__(self, "residuals", residuals)
 
     def to_json_dict(self) -> dict:
         mvec, nvec, k, q = self.vectors
@@ -64,15 +65,18 @@ class RecoveryResult:
         }
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(_Value):
     """Outcome of reconstruct -> recover -> rebuild on one measurement set."""
 
-    passed: bool
-    max_deviation: float | None
-    tol: float
-    residuals: LorentzResiduals
-    error: str | None = None
+    _fields = ("passed", "max_deviation", "tol", "residuals", "error")
+
+    def __init__(self, passed: bool, max_deviation: float | None, tol: float, residuals: LorentzResiduals,
+                 error: str | None = None):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "max_deviation", max_deviation)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "error", error)
 
 
 def _read(ms: MeasurementSet) -> tuple[float, list, list, list]:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from . import jsonio
-from .algebra import _array, _array_view, _checked, _matrix, _vector
+from .algebra import _Value, _array, _array_view, _checked, _matrix, _vector
 from .errors import NonPositiveIntensity
 
 # Accepted: I in INTENSITY_RANGE, max|output| <= MAX_OUTPUT_RATIO * I.  Then no intermediate of the
@@ -31,28 +30,26 @@ INTENSITY_RANGE = (1e-100, 1e100)
 MAX_OUTPUT_RATIO = 1e50
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(_Value):
     """Additive Gaussian detector noise: std sigma per Stokes component."""
 
-    sigma: float = 0.0
-    seed: int = 0
+    _fields = ("sigma", "seed")
 
-    def __post_init__(self):
-        if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"noise sigma must be finite and >= 0, got {self.sigma}")
+    def __init__(self, sigma: float = 0.0, seed: int = 0):
+        if not (sigma >= 0.0 and math.isfinite(sigma)):
+            raise ValueError(f"noise sigma must be finite and >= 0, got {sigma}")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True, init=False)
-class MeasurementSet:
+class MeasurementSet(_Value):
     """Probe intensity and the four output Stokes vectors F, A, B, C.
 
     ``stokes`` holds the outputs as four tuples of floats; f, a, b and c are
     their arrays.
     """
 
-    intensity: float
-    stokes: tuple
+    _fields = ("intensity", "stokes")
     f, a, b, c = (_array_view("stokes", i) for i in range(4))
 
     def __init__(self, intensity: float, f, a, b, c):
@@ -136,8 +133,7 @@ def reconstruct_mueller(ms: MeasurementSet):
     return _array(_mueller_rows(ms))
 
 
-@dataclass(frozen=True)
-class LorentzResiduals:
+class LorentzResiduals(_Value):
     """Minkowski-form residuals of the four outputs.
 
     r0 = g(F, F) - I^2 and rk = g(X, X) for X in (A, B, C); all four vanish
@@ -145,11 +141,14 @@ class LorentzResiduals:
     is max |r| / I^2.
     """
 
-    r0: float
-    r1: float
-    r2: float
-    r3: float
-    normalized_max: float
+    _fields = ("r0", "r1", "r2", "r3", "normalized_max")
+
+    def __init__(self, r0: float, r1: float, r2: float, r3: float, normalized_max: float):
+        object.__setattr__(self, "r0", r0)
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "r2", r2)
+        object.__setattr__(self, "r3", r3)
+        object.__setattr__(self, "normalized_max", normalized_max)
 
     def values(self) -> list:
         return [self.r0, self.r1, self.r2, self.r3]

@@ -9,33 +9,38 @@ part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .algebra import _array, _check_tolerance, _checked
+from .algebra import _Value, _array, _check_tolerance, _checked
 from .errors import NearPiRotation, NotRotation, NotRotationType
 from .probes import MeasurementSet
 
 
-@dataclass(frozen=True)
-class PolarizationTriad:
+class PolarizationTriad(_Value):
     """Output polarization vectors of the three polarized probes."""
 
-    p1: "numpy.ndarray"
-    p2: "numpy.ndarray"
-    p3: "numpy.ndarray"
+    _fields = ("p1", "p2", "p3")
+
+    def __init__(self, p1: "numpy.ndarray", p2: "numpy.ndarray", p3: "numpy.ndarray"):
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
+        object.__setattr__(self, "p3", p3)
 
 
-@dataclass(frozen=True)
-class TriadCheck:
-    name: str
-    residual: float
-    passed: bool
+class TriadCheck(_Value):
+    _fields = ("name", "residual", "passed")
+
+    def __init__(self, name: str, residual: float, passed: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "passed", passed)
 
 
-@dataclass(frozen=True)
-class TriadReport:
-    checks: tuple[TriadCheck, ...]
-    all_passed: bool
+class TriadReport(_Value):
+    _fields = ("checks", "all_passed")
+
+    def __init__(self, checks: tuple[TriadCheck, ...], all_passed: bool):
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "all_passed", all_passed)
 
 
 def triad_from_measurements(ms: MeasurementSet) -> PolarizationTriad:

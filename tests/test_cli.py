@@ -466,21 +466,24 @@ def test_simulate_into_closed_pipe_exits_141_without_traceback():
     assert (result.returncode, result.stderr) == (141, "")
 
 
-# runs the CLI in a fresh interpreter, then reports on stderr whether numpy was loaded
-NUMPY_PROBE = ("import sys; from lorentzpol.cli import main; code = main(sys.argv[1:]); "
-               "print('numpy loaded' if 'numpy' in sys.modules else 'numpy not loaded', file=sys.stderr); "
-               "sys.exit(code)")
+# Runs the CLI in a fresh interpreter; the last stderr line lists the modules that lorentzpol's
+# import and run add: the host's `site` may have loaded some (pathlib, say) before lorentzpol runs.
+IMPORT_PROBE = ("import sys; before = set(sys.modules); from lorentzpol.cli import main; "
+                "code = main(sys.argv[1:]); print(*sorted(set(sys.modules) - before), file=sys.stderr); "
+                "sys.exit(code)")
+HEAVY = {"dataclasses", "inspect", "numpy", "pathlib"}
 
 
-def _numpy_probe(*argv):
-    return subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, text=True,
-                          timeout=60)
+def _import_probe(*argv):
+    """Exit code, stderr before the module line, and the heavy modules the run added."""
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, text=True,
+                            timeout=60)
+    *stderr, added = result.stderr.split("\n")[:-1]
+    return result.returncode, stderr, HEAVY & set(added.split())
 
 
 def test_import_loads_no_numpy():
-    result = subprocess.run([sys.executable, "-c", "import sys, lorentzpol.cli; print('numpy' in sys.modules)"],
-                            capture_output=True, text=True, timeout=60)
-    assert result.stdout == "False\n", result.stderr
+    assert _import_probe("--help") == (0, [], set())  # import and build the parser, run no command
 
 
 @pytest.mark.parametrize("element, model, code", [
@@ -503,9 +506,9 @@ def test_recover_and_classify_load_no_numpy(tmp_path, element, model, code):
         argv = ("classify", str(path))
     else:
         argv = ("recover", str(path), "--model", model)
-    result = _numpy_probe(*argv)
-    assert result.returncode == code, result.stderr
-    assert result.stderr.splitlines()[-1] == "numpy not loaded"
+    returncode, stderr, added = _import_probe(*argv)
+    assert returncode == code, stderr
+    assert added <= ({"pathlib"} if model == "batch" else set())
 
 
 @pytest.mark.parametrize("spec", [
@@ -514,8 +517,6 @@ def test_recover_and_classify_load_no_numpy(tmp_path, element, model, code):
     ("--matrix", "identity"), ("--matrix", *map(str, range(16))),
 ], ids=["boost", "rotation", "quaternion", "qparam", "identity", "matrix"])
 def test_noiseless_simulate_loads_no_numpy(spec):
-    result = _numpy_probe("simulate", *spec)
-    assert result.returncode == 0, result.stderr
-    assert result.stderr == "numpy not loaded\n"
-    noisy = _numpy_probe("simulate", *spec, "--noise", "1e-3")
-    assert noisy.returncode == 0 and noisy.stderr == "numpy loaded\n"  # the PCG64 stream needs it
+    assert _import_probe("simulate", *spec) == (0, [], set())
+    # the PCG64 stream needs numpy, and numpy's import loads inspect
+    assert _import_probe("simulate", *spec, "--noise", "1e-3") == (0, [], {"numpy", "inspect"})
