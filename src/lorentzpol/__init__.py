@@ -48,14 +48,9 @@ from .probes import (
     simulate_measurements,
 )
 from .rotation import (
-    PolarizationTriad,
-    TriadCheck,
-    TriadReport,
     recover_quaternion,
     rotation_from_measurements,
     rotation_identity_sum,
-    triad_from_measurements,
-    validate_triad,
 )
 
 __version__ = "0.1.0"
@@ -96,12 +91,7 @@ __all__ = [
     "probe_set",
     "reconstruct_mueller",
     "simulate_measurements",
-    "PolarizationTriad",
-    "TriadCheck",
-    "TriadReport",
     "recover_quaternion",
     "rotation_from_measurements",
     "rotation_identity_sum",
-    "triad_from_measurements",
-    "validate_triad",
 ]

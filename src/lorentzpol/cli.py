@@ -218,7 +218,12 @@ def _recover_batch(args) -> int:
     for path in inputs:
         code, out, err = _recover_one(str(path), args.model, args.tol)
         if code == 0:
-            path.with_name(path.stem + ".recovery.json").write_text(out + "\n")
+            target = path.with_name(path.stem + ".recovery.json")
+            try:
+                target.write_text(out + "\n")
+            except OSError as exc:  # e.g. a directory in the report's place: exit 2, go on
+                code, err = 2, f"error: cannot write {str(target)!r}: {exc.strerror or exc}"
+        if code == 0:
             print(f"{path.name}: ok")
         else:
             print(f"{path.name}: failed (exit {code})")

@@ -65,9 +65,6 @@ class MeasurementSet(_Value):
         object.__setattr__(self, "intensity", intensity)
         object.__setattr__(self, "stokes", stokes)
 
-    def outputs(self) -> tuple:
-        return self.f, self.a, self.b, self.c
-
     def to_json(self) -> str:
         f, a, b, c = self.stokes
         return jsonio.dumps({"intensity": self.intensity, "outputs": {"F": f, "A": a, "B": b, "C": c}})
@@ -152,9 +149,6 @@ class LorentzResiduals(_Value):
 
     def values(self) -> list:
         return [self.r0, self.r1, self.r2, self.r3]
-
-    def as_array(self):
-        return _array(self.values())
 
 
 def lorentz_residuals(ms: MeasurementSet) -> LorentzResiduals:

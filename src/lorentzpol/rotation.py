@@ -10,63 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .algebra import _Value, _array, _check_tolerance, _checked
+from .algebra import _array, _check_tolerance, _checked
 from .errors import NearPiRotation, NotRotation, NotRotationType
 from .probes import MeasurementSet
-
-
-class PolarizationTriad(_Value):
-    """Output polarization vectors of the three polarized probes."""
-
-    _fields = ("p1", "p2", "p3")
-
-    def __init__(self, p1: "numpy.ndarray", p2: "numpy.ndarray", p3: "numpy.ndarray"):
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "p3", p3)
-
-
-class TriadCheck(_Value):
-    _fields = ("name", "residual", "passed")
-
-    def __init__(self, name: str, residual: float, passed: bool):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "passed", passed)
-
-
-class TriadReport(_Value):
-    _fields = ("checks", "all_passed")
-
-    def __init__(self, checks: tuple[TriadCheck, ...], all_passed: bool):
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "all_passed", all_passed)
-
-
-def triad_from_measurements(ms: MeasurementSet) -> PolarizationTriad:
-    i = ms.intensity
-    return PolarizationTriad(ms.a[1:] / i, ms.b[1:] / i, ms.c[1:] / i)
-
-
-def validate_triad(triad: PolarizationTriad, tol: float) -> TriadReport:
-    """Check the seven conditions for an orthonormal right-handed triad.
-
-    Three unit norms, three orthogonalities and one handedness condition
-    (triple product +1); each is reported with its residual and a pass/fail
-    flag at the given tolerance.
-    """
-    import numpy as np
-    _check_tolerance(tol)
-    p = (triad.p1, triad.p2, triad.p3)
-    checks = []
-    for idx, vec in enumerate(p, start=1):
-        checks.append((f"norm_p{idx}", abs(float(np.linalg.norm(vec)) - 1.0)))
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        checks.append((f"ortho_p{i}_p{j}", abs(float(p[i - 1] @ p[j - 1]))))
-    triple = float(p[0] @ np.cross(p[1], p[2]))
-    checks.append(("handedness", abs(triple - 1.0)))
-    results = tuple(TriadCheck(name, res, res <= tol) for name, res in checks)
-    return TriadReport(results, all(c.passed for c in results))
 
 
 def _rotation_block(ms: MeasurementSet, tol: float) -> list:
@@ -114,16 +60,23 @@ def _quaternion(rows: list, ortho_tol: float = 1e-6, trace_eps: float = 1e-8) ->
 def recover_quaternion(r, ortho_tol: float = 1e-6, trace_eps: float = 1e-8):
     """Unit quaternion (n0 >= 0) of a proper rotation matrix.
 
+    The NotRotation gate is the seven conditions for an orthonormal
+    right-handed output triad, applied to the columns p1, p2, p3 of r, which
+    are the triad that rotation_from_measurements returns: three unit norms
+    (p_i . p_i = 1), three orthogonalities (p_i . p_j = 0) and the handedness
+    p1 . (p2 x p3) = det r = +1, each within ortho_tol.
+
     n0 comes from the trace, the axis part from the antisymmetric part:
 
         2*n0 = sqrt(trace + 1)
         n    = (r[2,1]-r[1,2], r[0,2]-r[2,0], r[1,0]-r[0,1]) / (2*sqrt(trace+1))
 
-    Raises NotRotation if r is not orthogonal with determinant +1 within
-    ortho_tol, and NearPiRotation when trace + 1 <= trace_eps, where this
-    extraction divides by zero (rotations by pi).
+    Raises ValueError unless ortho_tol is finite and positive, NotRotation
+    when a triad condition fails, and NearPiRotation when trace + 1 <=
+    trace_eps, where this extraction divides by zero (rotations by pi).
     """
-    return _array(_quaternion(_checked(r, float, (3, 3), "rotation matrix").tolist(), ortho_tol, trace_eps))
+    rows = _checked(r, float, (3, 3), "rotation matrix").tolist()
+    return _array(_quaternion(rows, _check_tolerance(ortho_tol), trace_eps))
 
 
 def rotation_identity_sum(r) -> float:
@@ -132,11 +85,6 @@ def rotation_identity_sum(r) -> float:
     (trace+1) plus the squared antisymmetric differences over (trace+1) is
     exactly four times the quaternion norm, hence 4.
     """
-    import numpy as np
-    r = np.asarray(r, dtype=float)
-    trace1 = float(np.trace(r)) + 1.0
-    return trace1 + (
-        (r[2, 1] - r[1, 2]) ** 2
-        + (r[0, 2] - r[2, 0]) ** 2
-        + (r[1, 0] - r[0, 1]) ** 2
-    ) / trace1
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = _checked(r, float, (3, 3), "rotation matrix").tolist()
+    trace1 = r00 + r11 + r22 + 1.0
+    return trace1 + ((r21 - r12) ** 2 + (r02 - r20) ** 2 + (r10 - r01) ** 2) / trace1

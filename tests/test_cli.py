@@ -271,6 +271,19 @@ def test_batch_reports_malformed_file_and_continues(tmp_path, capsys):
     assert (tmp_path / "c_good.recovery.json").exists()
 
 
+def test_batch_reports_unwritable_report_and_continues(tmp_path, capsys):
+    write_measurements(tmp_path, lp.boost_mueller(3, 0.5), name="a_good.json")
+    write_measurements(tmp_path, np.eye(4), name="b_blocked.json")
+    (tmp_path / "b_blocked.recovery.json").mkdir()  # a directory where the report goes
+    write_measurements(tmp_path, np.eye(4), name="c_good.json")
+    code, out, err = run_cli(capsys, "recover", "--batch", str(tmp_path))
+    assert code == 2
+    assert out.splitlines() == ["a_good.json: ok", "b_blocked.json: failed (exit 2)", "c_good.json: ok"]
+    assert err.startswith("error: cannot write ") and len(err.splitlines()) == 1
+    assert "b_blocked.recovery.json" in err
+    assert (tmp_path / "c_good.recovery.json").exists()
+
+
 def test_simulate_overflowing_boost_exits_2():
     result = subprocess.run(
         [sys.executable, "-m", "lorentzpol", "simulate", "--boost", "3", "--beta", "800"],

@@ -16,6 +16,7 @@ QUARTER_TURN = np.array([
     [1.0, 0.0, 0.0],
     [0.0, 0.0, 1.0],
 ])
+E1, E2, E3 = np.eye(3)
 
 
 def _measure(rotation_block, intensity=1.0):
@@ -44,40 +45,6 @@ def test_rotation_from_measurements_rejects_bad_tolerance(tol):
         lp.rotation_from_measurements(ms, tol=tol)
 
 
-def test_triad_from_measurements_columns():
-    triad = lp.triad_from_measurements(_measure(QUARTER_TURN, intensity=2.0))
-    assert_allclose(triad.p1, QUARTER_TURN[:, 0])
-    assert_allclose(triad.p2, QUARTER_TURN[:, 1])
-    assert_allclose(triad.p3, QUARTER_TURN[:, 2])
-
-
-def test_validate_triad_cases():
-    e1, e2, e3 = np.eye(3)
-    report = lp.validate_triad(lp.PolarizationTriad(e1, e2, e3), tol=1e-12)
-    assert report.all_passed
-    assert len(report.checks) == 7
-    assert all(c.residual == 0.0 for c in report.checks)
-
-    report = lp.validate_triad(lp.PolarizationTriad(e1, e2, -e3), tol=1e-12)
-    assert not report.all_passed
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["handedness"].residual == 2.0  # triple product is -1
-    assert not by_name["handedness"].passed
-    assert sum(not c.passed for c in report.checks) == 1
-
-    report = lp.validate_triad(lp.PolarizationTriad(2 * e1, e2, e3), tol=1e-12)
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["norm_p1"].residual == 1.0
-    assert not report.all_passed
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-def test_validate_triad_rejects_bad_tolerance(tol):
-    e1, e2, e3 = np.eye(3)
-    with pytest.raises(ValueError, match="finite and positive"):
-        lp.validate_triad(lp.PolarizationTriad(2 * e1, e2, e3), tol=tol)
-
-
 def test_recover_quaternion_values():
     assert_allclose(lp.recover_quaternion(np.eye(3)), [1, 0, 0, 0])
     s = np.sqrt(0.5)
@@ -101,11 +68,23 @@ def test_recover_quaternion_documented_pi_boundary(gap, singular):
         assert lp.recover_quaternion(block)[0] == pytest.approx(gap / 2.0, rel=1e-6)
 
 
-def test_recover_quaternion_rejects_non_rotations():
+# each case breaks the orthonormal right-handed triad formed by the columns
+@pytest.mark.parametrize("columns", [
+    (2 * E1, 2 * E2, 2 * E3),
+    (E1, E2, -E3),
+    (2 * E1, E2, E3),
+    (E1, (E1 + E2) / np.sqrt(2.0), E3),
+], ids=["scaled", "left_handed", "one_scaled_column", "non_orthogonal"])
+def test_recover_quaternion_rejects_non_rotations(columns):
     with pytest.raises(lp.NotRotation):
-        lp.recover_quaternion(2.0 * np.eye(3))
-    with pytest.raises(lp.NotRotation):
-        lp.recover_quaternion(np.diag([1.0, 1.0, -1.0]))  # det -1
+        lp.recover_quaternion(np.column_stack(columns))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_recover_quaternion_rejects_bad_tolerance(tol):
+    # an infinite ortho_tol would let 2 * identity through the gate
+    with pytest.raises(ValueError, match="finite and positive"):
+        lp.recover_quaternion(2.0 * np.eye(3), ortho_tol=tol)
 
 
 @settings(max_examples=150)
@@ -120,6 +99,12 @@ def test_rotation_identity_sum_is_four(n):
     assert abs(lp.rotation_identity_sum(lp.quaternion_to_rotation(n)) - 4.0) < 1e-10
 
 
+@pytest.mark.parametrize("r", [lp.rotation_mueller(1, 0.4), [[1.0]]], ids=["4x4", "1x1"])
+def test_rotation_identity_sum_rejects_other_shapes(r):
+    with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+        lp.rotation_identity_sum(r)
+
+
 @settings(max_examples=80)
 @given(unit_quaternions(min_n0=0.05))
 def test_end_to_end_rotation_recovery(n):
@@ -128,7 +113,6 @@ def test_end_to_end_rotation_recovery(n):
     block = lp.rotation_from_measurements(ms)
     recovered = lp.recover_quaternion(block)
     assert np.abs(lp.embed_rotation(lp.quaternion_to_rotation(recovered)) - element).max() < 1e-9
-    assert lp.validate_triad(lp.triad_from_measurements(ms), tol=1e-10).all_passed
 
 
 @settings(max_examples=150)

@@ -12,7 +12,6 @@ import lorentzpol as lp
 
 STOKES = ((1.3, 0.1, -0.2, 0.3), (1.4, 1.2, 0.0, 0.1), (1.2, 0.0, 1.1, -0.1), (1.5, 0.2, 0.1, 1.3))
 RESIDUALS = lp.LorentzResiduals(1e-16, -2e-16, 0.0, 3e-16, 2e-16)
-CHECK = lp.TriadCheck("norm_p1", 1e-17, True)
 
 # (class, constructor arguments in positional order, the fields they set in order)
 CASES = [
@@ -26,9 +25,6 @@ CASES = [
                          "round_trip_max_dev": 4e-16, "residuals": RESIDUALS}, None),
     (lp.RoundTripReport, {"passed": False, "max_deviation": None, "tol": 1e-9, "residuals": RESIDUALS,
                           "error": "DegenerateTrace: matrix trace 0.0 is not positive"}, None),
-    (lp.PolarizationTriad, {"p1": (1.0, 0.0, 0.0), "p2": (0.0, 1.0, 0.0), "p3": (0.0, 0.0, 1.0)}, None),
-    (lp.TriadCheck, {"name": "ortho_p1_p2", "residual": 2e-17, "passed": True}, None),
-    (lp.TriadReport, {"checks": (CHECK, CHECK), "all_passed": True}, None),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 
