@@ -172,23 +172,23 @@ def main(argv=None) -> int:
         parent = load(args.parent_src, "lp_parent", Path(tmp))
         change = load(args.change_src, "lp_change", Path(tmp))
         sys.path.remove(tmp)
-
-    texts = recovery_texts(parent, np.random.default_rng(args.seed), args.sets)
-    codes, reports, classes, seen = Counter(), Counter(), 0, Counter()
-    for text in texts:
-        old, new = outcomes(parent, text), outcomes(change, text)
-        for run, (code, report) in old.items():
-            seen[run, code] += 1
-            codes[run] += code != new[run][0]
-            reports[run] += report != new[run][1]
-        classes += old["classify"][1].split(" ", 1)[0] != new["classify"][1].split(" ", 1)[0]
-    moved, ulps = Counter(), 0
-    for i in range(forward):
-        old, new = forward_text(parent, args.seed, i), forward_text(change, args.seed, i)
-        if old != new:
-            moved[FORWARD_KINDS[i % 3]] += 1
-            ulps = max(ulps, ulp_distance(old, new))
-    forward_diff = sum(moved.values())
+        # compare while the copies are on disk: a submodule imported lazily is read from them
+        texts = recovery_texts(parent, np.random.default_rng(args.seed), args.sets)
+        codes, reports, classes, seen = Counter(), Counter(), 0, Counter()
+        for text in texts:
+            old, new = outcomes(parent, text), outcomes(change, text)
+            for run, (code, report) in old.items():
+                seen[run, code] += 1
+                codes[run] += code != new[run][0]
+                reports[run] += report != new[run][1]
+            classes += old["classify"][1].split(" ", 1)[0] != new["classify"][1].split(" ", 1)[0]
+        moved, ulps = Counter(), 0
+        for i in range(forward):
+            old, new = forward_text(parent, args.seed, i), forward_text(change, args.seed, i)
+            if old != new:
+                moved[FORWARD_KINDS[i % 3]] += 1
+                ulps = max(ulps, ulp_distance(old, new))
+        forward_diff = sum(moved.values())
 
     print(f"recovery sets: {len(texts)} (seed {args.seed})")
     for run in [f"{model}@{tol:g}" for model, tol in RUNS] + ["classify", "to_json"]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import _Value, _array, _array_view, _canonical, _cdiv, _lorentz_rows, _square
+from .algebra import _Value, _array, _array_view, _canonical, _cdiv, _check_tolerance, _lorentz_rows, _square
 from .errors import DegenerateTrace, LorentzpolError, SingularNormalization
 from .probes import LorentzResiduals, MeasurementSet, _mueller_rows, lorentz_residuals
 
@@ -103,10 +103,11 @@ def delta_from_trace(ms: MeasurementSet, eps: float = 1e-10) -> float:
     """Modulus of the leading spinor component from the matrix trace.
 
     trace = 4*delta^2, so delta = sqrt(trace_sum / I) / 2 with the positive
-    root.  Raises DegenerateTrace when trace_sum / I <= eps: the rest of
-    the extraction divides by delta.
+    root.  Raises ValueError unless eps is finite and positive, and
+    DegenerateTrace when trace_sum / I <= eps: the rest of the extraction
+    divides by delta.
     """
-    return _delta(_read(ms)[0], ms.intensity, eps)
+    return _delta(_read(ms)[0], ms.intensity, _check_tolerance(eps))
 
 
 def mn_from_antisymmetric(ms: MeasurementSet, delta: float) -> tuple:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from . import jsonio
 from .algebra import _Value, _array, _array_view, _checked, _matrix, _vector
@@ -101,9 +102,14 @@ def _simulate(rows: list, intensity: float, noise: NoiseSpec | None = None) -> M
     outputs = [[0.0 + a * p0 + b * p1 + c * p2 + d * p3 for a, b, c, d in rows]
                for p0, p1, p2, p3 in _probes(intensity)]
     if noise is not None and noise.sigma > 0.0:
-        import numpy as np  # the PCG64 normal stream fixes the noisy bytes
-        # one (4, 4) draw: the stream of four size-4 draws, one row per output
-        draws = np.random.default_rng(noise.seed).normal(0.0, noise.sigma, (4, 4)).tolist()
+        # numpy's PCG64 normal stream fixes the noisy bytes; one (4, 4) draw, one row per output
+        if sys.modules.get("numpy") is None and isinstance(noise.seed, int):
+            from ._pcg64 import normal  # the same stream, without numpy's import cost
+            flat = normal(noise.seed, noise.sigma, 16)
+            draws = [flat[i:i + 4] for i in range(0, 16, 4)]
+        else:  # numpy's own generator is the faster one once numpy is loaded
+            import numpy as np
+            draws = np.random.default_rng(noise.seed).normal(0.0, noise.sigma, (4, 4)).tolist()
         outputs = [[x + y for x, y in zip(out, row)] for out, row in zip(outputs, draws)]
     return MeasurementSet(float(intensity), *outputs)
 

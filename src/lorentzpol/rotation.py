@@ -71,12 +71,13 @@ def recover_quaternion(r, ortho_tol: float = 1e-6, trace_eps: float = 1e-8):
         2*n0 = sqrt(trace + 1)
         n    = (r[2,1]-r[1,2], r[0,2]-r[2,0], r[1,0]-r[0,1]) / (2*sqrt(trace+1))
 
-    Raises ValueError unless ortho_tol is finite and positive, NotRotation
-    when a triad condition fails, and NearPiRotation when trace + 1 <=
-    trace_eps, where this extraction divides by zero (rotations by pi).
+    Raises ValueError unless ortho_tol and trace_eps are finite and
+    positive, NotRotation when a triad condition fails, and NearPiRotation
+    when trace + 1 <= trace_eps, where this extraction divides by zero
+    (rotations by pi).
     """
     rows = _checked(r, float, (3, 3), "rotation matrix").tolist()
-    return _array(_quaternion(rows, _check_tolerance(ortho_tol), trace_eps))
+    return _array(_quaternion(rows, _check_tolerance(ortho_tol), _check_tolerance(trace_eps)))
 
 
 def rotation_identity_sum(r) -> float:

@@ -442,6 +442,16 @@ def test_golden_simulate_bytes():
     assert result.stdout == (GOLDEN / "simulate_boost3_ln2.json").read_bytes()
 
 
+def test_golden_noisy_simulate_bytes():
+    # the noise stream of the README example, drawn without numpy
+    result = subprocess.run(
+        [sys.executable, "-m", "lorentzpol", "simulate", "--rotation", "1", "--theta", "0.7",
+         "--noise", "0.01", "--seed", "7"],
+        capture_output=True, check=True,
+    )
+    assert result.stdout == (GOLDEN / "simulate_rotation1_noise.json").read_bytes()
+
+
 def test_golden_recover_bytes():
     result = subprocess.run(
         [sys.executable, "-m", "lorentzpol", "recover", "--model", "lorentz",
@@ -485,18 +495,20 @@ IMPORT_PROBE = ("import sys; before = set(sys.modules); from lorentzpol.cli impo
                 "code = main(sys.argv[1:]); print(*sorted(set(sys.modules) - before), file=sys.stderr); "
                 "sys.exit(code)")
 HEAVY = {"dataclasses", "inspect", "numpy", "pathlib"}
+LAZY = HEAVY | {"lorentzpol._pcg64"}  # and the noise stream, which only a noisy simulate loads
 
 
-def _import_probe(*argv):
-    """Exit code, stderr before the module line, and the heavy modules the run added."""
+def _import_probe(*argv, watch=HEAVY):
+    """Exit code, stderr before the module line, and the watched modules the run added."""
     result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, text=True,
                             timeout=60)
     *stderr, added = result.stderr.split("\n")[:-1]
-    return result.returncode, stderr, HEAVY & set(added.split())
+    return result.returncode, stderr, watch & set(added.split())
 
 
 def test_import_loads_no_numpy():
-    assert _import_probe("--help") == (0, [], set())  # import and build the parser, run no command
+    # import and build the parser, run no command
+    assert _import_probe("--help", watch=LAZY) == (0, [], set())
 
 
 @pytest.mark.parametrize("element, model, code", [
@@ -519,17 +531,30 @@ def test_recover_and_classify_load_no_numpy(tmp_path, element, model, code):
         argv = ("classify", str(path))
     else:
         argv = ("recover", str(path), "--model", model)
-    returncode, stderr, added = _import_probe(*argv)
+    returncode, stderr, added = _import_probe(*argv, watch=LAZY)
     assert returncode == code, stderr
     assert added <= ({"pathlib"} if model == "batch" else set())
 
 
-@pytest.mark.parametrize("spec", [
+SIMULATE_SPECS = pytest.mark.parametrize("spec", [
     ("--boost", "3", "--beta", LN2_TEXT), ("--rotation", "1", "--theta", "0.7"),
     ("--quaternion", "0.8", "0.2", "-0.4", "0.4"), ("--qparam", "0.1+0.2j", "-0.3", "0.2j"),
     ("--matrix", "identity"), ("--matrix", *map(str, range(16))),
 ], ids=["boost", "rotation", "quaternion", "qparam", "identity", "matrix"])
+
+
+@SIMULATE_SPECS
 def test_noiseless_simulate_loads_no_numpy(spec):
-    assert _import_probe("simulate", *spec) == (0, [], set())
-    # the PCG64 stream needs numpy, and numpy's import loads inspect
-    assert _import_probe("simulate", *spec, "--noise", "1e-3") == (0, [], {"numpy", "inspect"})
+    assert _import_probe("simulate", *spec, watch=LAZY) == (0, [], set())
+
+
+@SIMULATE_SPECS
+def test_noisy_simulate_loads_no_numpy(spec):
+    # the noise is numpy's PCG64 normal stream, drawn by lorentzpol._pcg64 without numpy
+    assert _import_probe("simulate", *spec, "--noise", "1e-3") == (0, [], set())
+
+
+def test_noisy_simulate_negative_seed_keeps_numpy_error():
+    result = subprocess.run([sys.executable, "-m", "lorentzpol", "simulate", "--rotation", "1", "--theta",
+                             "0.7", "--noise", "1e-3", "--seed", "-1"], capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: expected non-negative integer\n")
