@@ -17,6 +17,10 @@ at `--tol 1e-3`, through `classify` and through `from_json(text).to_json()`.
 N/2 forward sets build an element with each tree's own constructions and
 compare the `simulate` JSON text; differing texts are counted by element kind,
 with the largest distance of one number in units in the last place (ulp).
+Last, each tree runs as `python -m` processes: `recover --model auto` on the
+first set of each recovery category and three more malformed texts, with the
+text on stdin, four `simulate` specs and one `simulate` into a closed pipe; the
+exit code, stdout bytes and stderr bytes are compared.
 
 Prints the counts of differing exit codes, classifications and report bytes,
 and exits 1 if any count is nonzero.
@@ -30,7 +34,9 @@ import importlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -148,6 +154,46 @@ def forward_text(lp, seed: int, index: int) -> str:
     return lp.simulate_measurements(element(lp, rng, kind), intensity, noise).to_json()
 
 
+SIMULATE_SPECS = (
+    ("--boost", "3", "--beta", "0.6931471805599453"),
+    ("--rotation", "1", "--theta", "0.7", "--noise", "0.01", "--seed", "7"),
+    ("--qparam", "0.1+0.2j", "-0.3", "0.2j", "--intensity", "1.5"),
+    ("--matrix", "identity", "--intensity", "0"),  # exit 3
+)
+
+
+def process_texts(lp, seed: int) -> list[str]:
+    """The first recovery text of each category (exit 2, 4 and not-lorentzian among them),
+    then the malformed texts the deck reaches last."""
+    deck = recovery_texts(lp, np.random.default_rng(seed), sum(n for _, n in RECOVER_DECK))
+    starts = np.cumsum([0] + [n for _, n in RECOVER_DECK[:-1]])
+    return [deck[i] for i in starts] + [INVALID_TEXTS[i] for i in (0, 4, 5)]
+
+
+def process_outcome(name: str, tmp: str, argv, text: str, closed_stdout: bool):
+    """Exit code, stdout and stderr bytes of `python -m name ARGV` with text on stdin."""
+    # streams buffered as by default, so that a byte left unflushed at exit shows as a difference
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": tmp}
+    command = [sys.executable, "-m", name, *argv]
+    if not closed_stdout:
+        proc = subprocess.run(command, input=text.encode(), capture_output=True, env=env, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    return proc.returncode, b"", proc.stderr
+
+
+def process_runs(lp, seed: int) -> list:
+    """(argv, stdin text, stdout closed) of each process the trees are compared on."""
+    runs = [(("recover", "--model", "auto"), text, False) for text in process_texts(lp, seed)]
+    runs += [(("simulate", *spec), "", False) for spec in SIMULATE_SPECS]
+    return runs + [(("simulate", *SIMULATE_SPECS[0]), "", True)]
+
+
 def ulp_distance(old: str, new: str) -> int:
     """Largest distance in ulp between corresponding numbers of two measurement texts."""
     def ordered(text):  # doubles as integers in the order of their values
@@ -189,6 +235,9 @@ def main(argv=None) -> int:
                 moved[FORWARD_KINDS[i % 3]] += 1
                 ulps = max(ulps, ulp_distance(old, new))
         forward_diff = sum(moved.values())
+        runs = process_runs(parent, args.seed)
+        process_diff = sum(process_outcome("lp_parent", tmp, *run) != process_outcome("lp_change", tmp, *run)
+                           for run in runs)
 
     print(f"recovery sets: {len(texts)} (seed {args.seed})")
     for run in [f"{model}@{tol:g}" for model, tol in RUNS] + ["classify", "to_json"]:
@@ -200,7 +249,8 @@ def main(argv=None) -> int:
     kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(moved.items()))
     print(f"forward sets: {forward}, simulate texts differing {forward_diff}"
           + (f" ({kinds}; numbers moved by at most {ulps} ulp)" if forward_diff else ""))
-    total = sum(codes.values()) + sum(reports.values()) + classes + forward_diff
+    print(f"cli processes: {len(runs)}, differing {process_diff}")
+    total = sum(codes.values()) + sum(reports.values()) + classes + forward_diff + process_diff
     print(f"total differences: {total}")
     return 1 if total else 0
 

@@ -13,6 +13,8 @@ from lorentzpol.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 LN2_TEXT = "0.6931471805599453"
+# stdout block-buffered on a pipe, as by default: a byte that entry() fails to flush is lost
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
 def run_cli(capsys, *argv):
@@ -487,6 +489,54 @@ def test_simulate_into_closed_pipe_exits_141_without_traceback():
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (141, "")
+
+
+def test_recover_error_into_closed_stderr_exits_141():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "lorentzpol", "recover", "/nonexistent.json"],
+                                stdout=subprocess.PIPE, stderr=write_end, env=BUFFERED, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stdout) == (141, b"")
+
+
+def test_entry_ends_the_process_without_atexit_hooks():
+    # entry() flushes and calls os._exit: interpreter teardown, and atexit with it, never runs
+    code = ("import atexit, sys; atexit.register(lambda: print('atexit ran', file=sys.stderr)); "
+            "from lorentzpol.cli import entry; sys.argv[1:] = ['simulate', '--boost', '3', '--beta', "
+            f"'{LN2_TEXT}']; entry()")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=BUFFERED, timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (GOLDEN / "simulate_boost3_ln2.json").read_bytes()
+
+
+def test_batch_into_pipe_flushes_every_status_line(tmp_path):
+    # 500 status lines (8.5 kB) fill stdout's 8 KiB buffer once; the rest leaves in entry()'s flush
+    text = lp.simulate_measurements(lp.boost_mueller(3, 0.5), 1.0).to_json()
+    names = [f"set_{i:03d}.json" for i in range(500)]
+    for name in names:
+        (tmp_path / name).write_text(text)
+    result = subprocess.run([sys.executable, "-m", "lorentzpol", "recover", "--batch", str(tmp_path)],
+                            capture_output=True, text=True, env=BUFFERED, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == [f"{name}: ok" for name in names]
+
+
+def test_golden_noisy_recover_bytes():
+    # the README pipe, with the process boundary: recover reads stdin until simulate exits
+    simulate = subprocess.Popen(
+        [sys.executable, "-m", "lorentzpol", "simulate", "--rotation", "1", "--theta", "0.7",
+         "--noise", "0.01", "--seed", "7"], stdout=subprocess.PIPE, env=BUFFERED)
+    try:
+        recover = subprocess.run([sys.executable, "-m", "lorentzpol", "recover", "--model", "auto"],
+                                 stdin=simulate.stdout, capture_output=True, env=BUFFERED, timeout=60)
+    finally:
+        simulate.stdout.close()
+        simulate.wait(timeout=60)
+    assert (simulate.returncode, recover.returncode, recover.stderr) == (0, 0, b"")
+    assert recover.stdout == (GOLDEN / "recover_rotation1_noise_auto.json").read_bytes()
 
 
 # Runs the CLI in a fresh interpreter; the last stderr line lists the modules that lorentzpol's

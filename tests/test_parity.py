@@ -19,6 +19,7 @@ def test_parity_of_the_tree_against_itself():
     lines = result.stdout.splitlines()
     assert lines[0] == "recovery sets: 200 (seed 0)"
     assert "forward sets: 100, simulate texts differing 0" in lines
+    assert "cli processes: 17, differing 0" in lines  # python -m runs of each tree, compared byte for byte
     assert lines[-1] == "total differences: 0"
 
 
@@ -31,3 +32,4 @@ def test_parity_reports_a_changed_format(tmp_path):
     assert result.returncode == 1, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1] != "total differences: 0"
     assert "forward sets: 25, simulate texts differing 0" not in result.stdout
+    assert "cli processes: 17, differing 0" not in result.stdout
