@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Differential check of two lorentzpol source trees on the same seeded inputs.
 
-    python3 scripts/parity.py PARENT_SRC CHANGE_SRC [--sets N] [--seed S]
+    python3 scripts/parity.py PARENT_SRC CHANGE_SRC [--sets N] [--seed S] [--tolerance-eps K]
 
 PARENT_SRC and CHANGE_SRC are `src` directories (or checkouts holding one).
 Each `lorentzpol` package is copied into a temporary directory under its own
@@ -15,15 +15,23 @@ and out-of-envelope or malformed files (exit 2).  Every set goes through
 `cli._recover_one` under each `--model` at `--tol 1e-9`, through `--model auto`
 at `--tol 1e-3`, through `classify` and through `from_json(text).to_json()`.
 N/2 forward sets build an element with each tree's own constructions and
-compare the `simulate` JSON text; differing texts are counted by element kind,
-with the largest distance of one number in units in the last place (ulp).
+compare the `simulate` JSON text; differing texts are counted by element kind.
 Last, each tree runs as `python -m` processes: `recover --model auto` on the
 first set of each recovery category and three more malformed texts, with the
 text on stdin, four `simulate` specs and one `simulate` into a closed pipe; the
 exit code, stdout bytes and stderr bytes are compared.
 
+Where two texts differ, the largest move of one number is printed in units of
+eps (2**-52) times the largest |number| of the parent's text.  Per-number ulp
+would mislead: an entry near zero after cancellation moves by many of its own
+ulp when the rounding of a large term changes.
+
 Prints the counts of differing exit codes, classifications and report bytes,
-and exits 1 if any count is nonzero.
+and exits 1 if any count is nonzero.  By default texts must be equal byte for
+byte.  With --tolerance-eps K, a report, stream or `simulate` text that
+differs still passes when both texts have the same structure (equal once
+every number is masked) and no number moved by more than K eps times that
+scale; exit codes and classifications must still match.
 """
 
 from __future__ import annotations
@@ -32,9 +40,9 @@ import argparse
 import contextlib
 import importlib
 import io
-import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -194,14 +202,43 @@ def process_runs(lp, seed: int) -> list:
     return runs + [(("simulate", *SIMULATE_SPECS[0]), "", True)]
 
 
-def ulp_distance(old: str, new: str) -> int:
-    """Largest distance in ulp between corresponding numbers of two measurement texts."""
-    def ordered(text):  # doubles as integers in the order of their values
-        data = json.loads(text)
-        values = np.array([data["intensity"], *sum(data["outputs"].values(), [])], dtype=float)
-        bits = values.view(np.int64).astype(object)
-        return [b if b >= 0 else -(b & 0x7FFF_FFFF_FFFF_FFFF) for b in bits]
-    return max(abs(a - b) for a, b in zip(ordered(old), ordered(new)))
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def move(old: str, new: str) -> float:
+    """Largest move of a number from old to new text, in eps times the largest |number|
+    of old; inf when the texts differ outside their numbers."""
+    if old == new:
+        return 0.0
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return math.inf
+    a, b = [float(x) for x in NUMBER.findall(old)], [float(x) for x in NUMBER.findall(new)]
+    largest = max(abs(x - y) for x, y in zip(a, b))
+    scale = sys.float_info.epsilon * max(map(abs, a))
+    return largest / scale if scale > 0.0 else (math.inf if largest else 0.0)
+
+
+class Texts:
+    """Tells whether texts of the two trees differ, beyond the tolerance when one is
+    given, and keeps the largest move of a number seen."""
+
+    def __init__(self, tolerance_eps: float | None):
+        self.tolerance_eps = tolerance_eps
+        self.largest = 0.0
+
+    def differ(self, old, new) -> bool:
+        """True when old and new (str or bytes) differ beyond the tolerance, or at all without one."""
+        if old == new:
+            return False
+        if isinstance(old, bytes):
+            old, new = old.decode(errors="replace"), new.decode(errors="replace")
+        moved = move(old, new)
+        self.largest = max(self.largest, moved)
+        return self.tolerance_eps is None or not moved <= self.tolerance_eps
+
+    def outcome_differs(self, old: tuple, new: tuple) -> bool:
+        """Outcomes (exit code, text, ...): equal codes, and no text differing."""
+        return old[0] != new[0] or any([self.differ(a, b) for a, b in zip(old[1:], new[1:])])
 
 
 def main(argv=None) -> int:
@@ -210,8 +247,14 @@ def main(argv=None) -> int:
     parser.add_argument("change_src")
     parser.add_argument("--sets", type=int, default=2000, help="recovery sets (default 2000)")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--tolerance-eps", type=float, metavar="K",
+                        help="accept a differing text whose numbers moved by at most K eps times the "
+                             "largest |number| of the text (default: byte for byte)")
     args = parser.parse_args(argv)
+    if args.tolerance_eps is not None and not 0.0 <= args.tolerance_eps < math.inf:
+        parser.error("--tolerance-eps must be finite and >= 0")
     forward = args.sets // 2
+    compare = Texts(args.tolerance_eps)
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -226,30 +269,32 @@ def main(argv=None) -> int:
             for run, (code, report) in old.items():
                 seen[run, code] += 1
                 codes[run] += code != new[run][0]
-                reports[run] += report != new[run][1]
+                reports[run] += compare.differ(report, new[run][1])
             classes += old["classify"][1].split(" ", 1)[0] != new["classify"][1].split(" ", 1)[0]
-        moved, ulps = Counter(), 0
+        moved = Counter()
         for i in range(forward):
             old, new = forward_text(parent, args.seed, i), forward_text(change, args.seed, i)
-            if old != new:
-                moved[FORWARD_KINDS[i % 3]] += 1
-                ulps = max(ulps, ulp_distance(old, new))
+            moved[FORWARD_KINDS[i % 3]] += compare.differ(old, new)
         forward_diff = sum(moved.values())
         runs = process_runs(parent, args.seed)
-        process_diff = sum(process_outcome("lp_parent", tmp, *run) != process_outcome("lp_change", tmp, *run)
-                           for run in runs)
+        process_diff = sum(compare.outcome_differs(process_outcome("lp_parent", tmp, *run),
+                                                   process_outcome("lp_change", tmp, *run)) for run in runs)
 
     print(f"recovery sets: {len(texts)} (seed {args.seed})")
+    if args.tolerance_eps is not None:
+        print(f"tolerance: a text counts as differing when a number moved by more than "
+              f"{args.tolerance_eps:g} eps * scale, or outside its numbers")
     for run in [f"{model}@{tol:g}" for model, tol in RUNS] + ["classify", "to_json"]:
         spread = ", ".join(f"{code}: {n}" for code, n in sorted(
             ((code, n) for (r, code), n in seen.items() if r == run), key=str))
-        print(f"  {run:14s} exit codes differing {codes[run]:6d}   report bytes differing "
+        print(f"  {run:14s} exit codes differing {codes[run]:6d}   reports differing "
               f"{reports[run]:6d}   parent exit codes {{{spread}}}")
     print(f"  classifications differing {classes}")
-    kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(moved.items()))
+    kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(moved.items()) if n)
     print(f"forward sets: {forward}, simulate texts differing {forward_diff}"
-          + (f" ({kinds}; numbers moved by at most {ulps} ulp)" if forward_diff else ""))
+          + (f" ({kinds})" if forward_diff else ""))
     print(f"cli processes: {len(runs)}, differing {process_diff}")
+    print(f"largest move of a number: {compare.largest:.3g} eps * scale")
     total = sum(codes.values()) + sum(reports.values()) + classes + forward_diff + process_diff
     print(f"total differences: {total}")
     return 1 if total else 0

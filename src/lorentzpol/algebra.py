@@ -22,8 +22,8 @@ sign ambiguity.
 Each construction has a kernel on Python floats and complex numbers (the
 underscored functions, which the CLI calls), and a public wrapper that checks
 its input and returns an ndarray; numpy is imported inside the wrappers only.
-Where numpy rounded with a fused multiply-add (complex dots, array complex
-products) the kernels do the same through ``_fma``, so they give numpy's bits.
+Their results can differ from a numpy evaluation of the same formulas by a few
+eps times the largest term, as plain Python arithmetic rounds them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from math import fsum
 
 from .errors import NonRealResult, NormViolation, SingularParameter
 
@@ -50,68 +49,10 @@ def _check_tolerance(tol: float) -> float:
     return tol
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """a*b + c rounded once, as the FMA instruction gives it (math.fma needs Python 3.13):
-    fsum of c and the four exact products of the Veltkamp halves of a and b, or Fractions
-    where a split could overflow or a half product underflow."""
-    if 1e-140 < abs(a) < 1e140 and 1e-140 < abs(b) < 1e140:
-        t = 134217729.0 * a
-        ah = t - (t - a)
-        t = 134217729.0 * b
-        bh = t - (t - b)
-        al, bl = a - ah, b - bh
-        return fsum((ah * bh, ah * bl, al * bh, al * bl, c))
-    if a == 0.0 or b == 0.0 or not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        return a * b + c  # an exact product, or IEEE gives the same inf or nan
-    from fractions import Fraction
-
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
-
-
-def _norm2(n) -> float:
-    """np.dot(n, n) of four floats: one FMA chain."""
-    n0, n1, n2, n3 = n
-    return _fma(n3, n3, _fma(n2, n2, _fma(n1, n1, n0 * n0)))
-
-
 def _square(v) -> complex:
-    """np.dot(v, v) of three complex numbers: an FMA chain per product of parts."""
-    (x0, y0), (x1, y1), (x2, y2) = [(z.real, z.imag) for z in v]
-    rr = _fma(x2, x2, _fma(x1, x1, x0 * x0))
-    ii = _fma(y2, y2, _fma(y1, y1, y0 * y0))
-    ri = _fma(x2, y2, _fma(x1, y1, x0 * y0))
-    return complex(rr - ii, ri + ri + 0.0)  # numpy's dot turns a -0.0 sum into +0.0
-
-
-def _cmul(a: complex, b: complex) -> complex:
-    """a*b as numpy's array loops round it."""
-    return complex(_fma(a.real, b.real, -(a.imag * b.imag)), _fma(a.real, b.imag, a.imag * b.real))
-
-
-def _cdiv(a: complex, b: complex) -> complex:
-    """a/b by Smith's formula as numpy rounds it; CPython divides by the denominator
-    where numpy multiplies by its reciprocal."""
-    if abs(b.real) >= abs(b.imag):
-        rat = b.imag / b.real
-        scl = 1.0 / (b.real + b.imag * rat)
-        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
-    rat = b.real / b.imag
-    scl = 1.0 / (b.imag + b.real * rat)
-    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
-
-
-def _sqrt(z: complex) -> complex:
-    """Principal square root as numpy takes it (glibc's csqrt): cmath.sqrt's, except on the
-    imaginary axis, where csqrt takes both parts as sqrt(|Im z|/2); the two also round a
-    subnormal part of the root differently."""
-    if z.real == 0.0 and z.imag != 0.0:
-        r = math.sqrt(0.5 * abs(z.imag))
-        return complex(r, math.copysign(r, z.imag))
-    return cmath.sqrt(z)
+    """v.v of three complex numbers, without conjugation."""
+    v0, v1, v2 = v
+    return v0 * v0 + v1 * v1 + v2 * v2
 
 
 def _checked(x, dtype, shape: tuple, what: str):
@@ -185,7 +126,7 @@ def _matrix(m) -> list:
 
 def _rotation_rows(n, norm_tol: float = 1e-9) -> list:
     n0, n1, n2, n3 = n
-    norm2 = _norm2(n)
+    norm2 = n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
     if not abs(norm2 - 1.0) < norm_tol:  # NaN included
         raise NormViolation(f"quaternion norm^2 = {norm2!r}, expected 1")
     return [
@@ -322,8 +263,8 @@ def _k_from_q(q) -> list:
     denom = 1.0 - _square(q)
     if abs(denom) < 1e-12:
         raise SingularParameter(f"1 - q.q = {denom!r} is singular")
-    k0 = _cdiv(1.0, _sqrt(denom))  # principal branch: Re(k0) >= 0
-    return _canonical([k0] + [_cmul(1j * z, k0) for z in q])
+    k0 = 1.0 / cmath.sqrt(denom)  # principal branch: Re(k0) >= 0
+    return _canonical([k0] + [1j * z * k0 for z in q])
 
 
 def k_from_q(q):

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import sys
 
+NUMBER = "%.17g"  # the format of every float written
+
 
 def format_number(x) -> str:
     np = sys.modules.get("numpy")
@@ -31,7 +33,7 @@ def format_number(x) -> str:
 
 class _RowFormats(dict):  # "[%.17g, ..., %.17g]" by row length, built on first use
     def __missing__(self, n: int) -> str:
-        self[n] = row = "[" + ", ".join(["%.17g"] * n) + "]"
+        self[n] = row = "[" + ", ".join([NUMBER] * n) + "]"
         return row
 
 
@@ -47,7 +49,7 @@ def dumps(obj) -> str:
     """
     kind = type(obj)
     if kind is float:
-        text = "%.17g" % obj
+        text = NUMBER % obj
         return format_number(obj) if "n" in text else text  # nan or inf: raises
     if isinstance(obj, dict):
         return "{" + ", ".join([f'"{key}": {dumps(value)}' for key, value in obj.items()]) + "}"

@@ -22,8 +22,6 @@ with boosts) is a hard singularity of the method.
 Recovery is a single pass over the 16 outputs, which a measurement set keeps as
 Python floats; delta, M, N, k and q come from it as Python float and complex
 scalars, arrays are built only when a caller reads them, and Lambda is never built.
-q is divided by the trace sum with numpy's complex-division formula, which keeps
-the bytes of the array division; Python's complex division would move them.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import _Value, _array, _array_view, _canonical, _cdiv, _check_tolerance, _lorentz_rows, _square
+from .algebra import _Value, _array, _array_view, _canonical, _check_tolerance, _lorentz_rows, _square
 from .errors import DegenerateTrace, LorentzpolError, SingularNormalization
 from .probes import LorentzResiduals, MeasurementSet, _mueller_rows, lorentz_residuals
 
@@ -124,14 +122,12 @@ def _extract(ms: MeasurementSet) -> tuple[float, float, list, list, list]:
     trace_sum, m, n, q_im = _read(ms)
     delta = _delta(trace_sum, ms.intensity)
     scale = 4.0 * ms.intensity * delta
-    q = [_cdiv(complex(a, 0.0 - b), trace_sum) for a, b in zip(m, q_im)]  # (m - i*q_im) / trace_sum
+    q = [complex(a, 0.0 - b) / trace_sum for a, b in zip(m, q_im)]  # (m - i*q_im) / trace_sum
     return trace_sum, delta, [x / scale for x in m], [x / scale for x in n], q
 
 
 def _assemble_k(delta: float, mvec: list, nvec: list) -> list:
     v = [complex(n, m) for n, m in zip(nvec, mvec)]
-    # v.v rounded as the BLAS dot of earlier releases rounds it, fused multiply-adds
-    # included; a plain Python sum would move the emitted k by up to 5 ulp
     norm2 = delta ** 2 + _square(v)
     if abs(norm2) < 1e-12:
         raise SingularNormalization(

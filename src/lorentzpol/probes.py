@@ -30,6 +30,10 @@ from .errors import NonPositiveIntensity
 INTENSITY_RANGE = (1e-100, 1e100)
 MAX_OUTPUT_RATIO = 1e50
 
+# A measurement set's JSON text in one format; dumps writes the same bytes for a float intensity.
+_JSON = '{"intensity": %s, "outputs": {"F": %s, "A": %s, "B": %s, "C": %s}}' % (
+    jsonio.NUMBER, *[jsonio._ROW[4]] * 4)
+
 
 class NoiseSpec(_Value):
     """Additive Gaussian detector noise: std sigma per Stokes component."""
@@ -68,7 +72,9 @@ class MeasurementSet(_Value):
 
     def to_json(self) -> str:
         f, a, b, c = self.stokes
-        return jsonio.dumps({"intensity": self.intensity, "outputs": {"F": f, "A": a, "B": b, "C": c}})
+        if type(self.intensity) is not float:  # an int past 2**53 or a bool prints differently with %g
+            return jsonio.dumps({"intensity": self.intensity, "outputs": {"F": f, "A": a, "B": b, "C": c}})
+        return _JSON % (self.intensity, *f, *a, *b, *c)  # __init__ keeps every number finite
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSet":

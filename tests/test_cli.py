@@ -424,11 +424,11 @@ def test_batch_propagates_worst_exit_code(tmp_path, capsys):
 def test_pipe_composability():
     simulate = subprocess.run(
         [sys.executable, "-m", "lorentzpol", "simulate", "--boost", "3", "--beta", LN2_TEXT],
-        capture_output=True, check=True,
+        capture_output=True, check=True, env=BUFFERED,
     )
     recover = subprocess.run(
         [sys.executable, "-m", "lorentzpol", "recover", "--model", "auto"],
-        input=simulate.stdout, capture_output=True,
+        input=simulate.stdout, capture_output=True, env=BUFFERED,
     )
     assert recover.returncode == 0, recover.stderr
     data = json.loads(recover.stdout)
@@ -439,7 +439,7 @@ def test_pipe_composability():
 def test_golden_simulate_bytes():
     result = subprocess.run(
         [sys.executable, "-m", "lorentzpol", "simulate", "--boost", "3", "--beta", LN2_TEXT],
-        capture_output=True, check=True,
+        capture_output=True, check=True, env=BUFFERED,
     )
     assert result.stdout == (GOLDEN / "simulate_boost3_ln2.json").read_bytes()
 
@@ -449,7 +449,7 @@ def test_golden_noisy_simulate_bytes():
     result = subprocess.run(
         [sys.executable, "-m", "lorentzpol", "simulate", "--rotation", "1", "--theta", "0.7",
          "--noise", "0.01", "--seed", "7"],
-        capture_output=True, check=True,
+        capture_output=True, check=True, env=BUFFERED,
     )
     assert result.stdout == (GOLDEN / "simulate_rotation1_noise.json").read_bytes()
 
@@ -458,9 +458,28 @@ def test_golden_recover_bytes():
     result = subprocess.run(
         [sys.executable, "-m", "lorentzpol", "recover", "--model", "lorentz",
          str(GOLDEN / "simulate_boost3_ln2.json")],
-        capture_output=True, check=True,
+        capture_output=True, check=True, env=BUFFERED,
     )
     assert result.stdout == (GOLDEN / "recover_boost3_ln2.json").read_bytes()
+
+
+QPARAM = ("--qparam", "0.3+0.2j", "-0.1+0.4j", "0.25-0.3j")
+
+
+def test_golden_qparam_simulate_bytes():
+    # the general element built from q: k_from_q, lorentz_from_k, then the probes
+    result = subprocess.run([sys.executable, "-m", "lorentzpol", "simulate", *QPARAM],
+                            capture_output=True, check=True, env=BUFFERED, timeout=60)
+    assert result.stdout == (GOLDEN / "simulate_qparam.json").read_bytes()
+
+
+def test_golden_qparam_recover_bytes():
+    # k, q and the rebuild of the general branch, from the qparam golden on stdin
+    result = subprocess.run([sys.executable, "-m", "lorentzpol", "recover", "--model", "auto"],
+                            input=(GOLDEN / "simulate_qparam.json").read_bytes(), capture_output=True,
+                            env=BUFFERED, timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (GOLDEN / "recover_qparam_auto.json").read_bytes()
 
 
 @pytest.mark.parametrize("argv, attached", [
@@ -484,7 +503,7 @@ def test_simulate_into_closed_pipe_exits_141_without_traceback():
     try:
         result = subprocess.run(
             [sys.executable, "-m", "lorentzpol", "simulate", "--boost", "3", "--beta", LN2_TEXT],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=BUFFERED, timeout=60,
         )
     finally:
         os.close(write_end)

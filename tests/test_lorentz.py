@@ -11,6 +11,7 @@ import lorentzpol as lp
 from conftest import vector_parameters
 
 LN2 = np.log(2.0)
+EPS = np.finfo(float).eps
 
 
 def _measure(matrix, intensity=1.0):
@@ -241,13 +242,12 @@ def test_one_pass_matches_componentwise_formulas(ms):
     # the formula of recover_q's docstring, term by term
     f, a, b, c = ms.f, ms.a, ms.b, ms.c
     trace_sum = float(f[0] + (a[1] - f[1]) + (b[2] - f[2]) + (c[3] - f[3]))
-    numerators = np.array([
-        (f[0] - f[1] - a[0]) - 1j * ((f[2] - f[3]) - (c[2] - b[3])),
-        (f[0] - f[2] - b[0]) - 1j * ((f[3] - f[1]) - (a[3] - c[1])),
-        (f[0] - f[3] - c[0]) - 1j * ((f[1] - f[2]) - (b[1] - a[2])),
-    ])
+    re = [f[0] - f[1] - a[0], f[0] - f[2] - b[0], f[0] - f[3] - c[0]]
+    im = [(f[2] - f[3]) - (c[2] - b[3]), (f[3] - f[1]) - (a[3] - c[1]), (f[1] - f[2]) - (b[1] - a[2])]
     q = lp.recover_q(ms)
-    assert _bits(q) == _bits(numerators / trace_sum)
+    # divided as Python complex scalars, bit for bit; numpy's array division within a few eps
+    assert _bits(q) == _bits([complex(x, 0.0 - y) / trace_sum for x, y in zip(re, im)])
+    assert np.abs(q - (np.array(re) - 1j * np.array(im)) / trace_sum).max() <= 4 * EPS * np.abs(q).max()
     # the antisymmetric layout of the module docstring, scaled by 4*I*delta
     result = lp.recover_parameters(ms)
     # delta pins the trace sum, with q above
@@ -268,8 +268,8 @@ def test_one_pass_matches_componentwise_formulas(ms):
        st.floats(0.25, 4.0))
 @example(offdiag=[0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -3.0, 0.0, 0.5], intensity=0.25)
 def test_q_division_matches_numpy_on_signed_zeros(offdiag, intensity):
-    # q is divided on scalars with numpy's complex-division formula; signed zeros
-    # in the numerators keep the bytes of the array expression of earlier releases
+    # q is (m - i*q_im) / trace_sum in Python complex arithmetic, signed zeros included;
+    # the array expression of earlier releases agrees within a few eps of the scale
     outputs = np.diag([4.0, 4.0, 4.0, 4.0]) * intensity
     outputs[~np.eye(4, dtype=bool)] = offdiag
     outputs[0, 0] = 2.0 * intensity
@@ -278,7 +278,7 @@ def test_q_division_matches_numpy_on_signed_zeros(offdiag, intensity):
     trace_sum = f0 + (a1 - f1) + (b2 - f2) + (c3 - f3)
     m = [f0 - f1 - a0, f0 - f2 - b0, f0 - f3 - c0]
     q_im = [(f2 - f3) - (c2 - b3), (f3 - f1) - (a3 - c1), (f1 - f2) - (b1 - a2)]
-    expected = (np.array(m) - 1j * np.array(q_im)) / trace_sum
+    expected = [complex(x, 0.0 - y) / trace_sum for x, y in zip(m, q_im)]
     try:
         q = lp.recover_q(ms)
     except lp.SingularNormalization:
@@ -289,3 +289,5 @@ def test_q_division_matches_numpy_on_signed_zeros(offdiag, intensity):
         return
     assert _bits(q) == _bits(expected)
     assert _bits(lp.recover_parameters(ms).q) == _bits(expected)
+    numpy_q = (np.array(m) - 1j * np.array(q_im)) / trace_sum
+    assert np.abs(q - numpy_q).max() <= 4 * EPS * np.abs(numpy_q).max()

@@ -1,11 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lorentzpol as lp
+from lorentzpol import jsonio
 
 from conftest import dense_matrices
 
@@ -175,6 +178,36 @@ def test_json_round_trip_and_field_order():
     back = lp.MeasurementSet.from_json(text)
     assert back.intensity == ms.intensity
     assert back.stokes == ms.stokes
+
+
+# intensities of every type MeasurementSet keeps: float, an int past 2**53, a bool, np.float64
+INTENSITIES = st.one_of(
+    st.floats(1e-100, 1e100), st.integers(2**53 + 1, 10**100), st.just(True),
+    st.floats(1e-100, 1e100).map(np.float64),
+)
+
+
+def _envelope_outputs(intensity):
+    """16 outputs inside the envelope: signed zeros, subnormals and +-1e50*I among them."""
+    limit = lp.probes.MAX_OUTPUT_RATIO * intensity
+    corners = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, limit, -limit])
+    return st.lists(st.one_of(corners, st.floats(-limit, limit)), min_size=16, max_size=16)
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_to_json_gives_the_bytes_of_dumps(data):
+    intensity = data.draw(INTENSITIES)
+    flat = data.draw(_envelope_outputs(intensity))
+    ms = lp.MeasurementSet(intensity, *[flat[i:i + 4] for i in range(0, 16, 4)])
+    f, a, b, c = ms.stokes
+    text = ms.to_json()
+    assert text == jsonio.dumps({"intensity": intensity, "outputs": {"F": f, "A": a, "B": b, "C": c}})
+    back = lp.MeasurementSet.from_json(text)
+    assert back.intensity == float(intensity) and back.stokes == ms.stokes
+    # json.loads reads "-0" and an int intensity as ints, which come back as floats
+    if isinstance(intensity, float) and not any(math.copysign(1.0, x) < 0.0 for x in flat if x == 0.0):
+        assert back.to_json() == text
 
 
 def test_json_17_digit_floats():

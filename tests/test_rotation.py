@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ QUARTER_TURN = np.array([
     [0.0, 0.0, 1.0],
 ])
 E1, E2, E3 = np.eye(3)
+EPS = np.finfo(float).eps
 
 
 def _measure(rotation_block, intensity=1.0):
@@ -122,15 +124,17 @@ def test_end_to_end_rotation_recovery(n):
 @given(unit_quaternions(min_n0=0.05), st.floats(0.5, 2.0), st.sampled_from([0.0, 1e-7]),
        st.integers(0, 2**31 - 1))
 def test_rotation_payload_matches_numpy_expressions_bitwise(n, intensity, eps, seed):
-    # earlier releases took the unit quaternion with np.linalg.norm and the deviation
-    # through np.abs(...).max(); the scalar forms give the same bits
+    # the unit quaternion is n / sqrt(n.n) in Python floats, bit for bit, and within a few eps
+    # of np.linalg.norm's; the deviation gives the bits of np.abs(...).max() on that unit
     element = lp.embed_rotation(lp.quaternion_to_rotation(n))
     ms = lp.simulate_measurements(element, intensity, lp.NoiseSpec(eps * intensity, seed))
     with mock.patch.object(cli, "quaternion_to_rotation", wraps=cli.quaternion_to_rotation) as spy:
         payload = cli._rotation_payload(ms, 1e-5 if eps else 1e-9)
-    quaternion = np.array(payload["quaternion"])
-    unit = quaternion / np.linalg.norm(quaternion)
+    quaternion = payload["quaternion"]
+    n0, n1, n2, n3 = quaternion
+    unit = np.array([x / math.sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3) for x in quaternion])
     assert np.array(spy.call_args.args[0]).tobytes() == unit.tobytes()
+    assert np.abs(unit - np.array(quaternion) / np.linalg.norm(quaternion)).max() <= 4 * EPS
     rebuilt = lp.embed_rotation(lp.quaternion_to_rotation(unit))
     deviation = float(np.abs(rebuilt - lp.reconstruct_mueller(ms)).max())
     assert type(payload["round_trip_max_dev"]) is float
