@@ -205,40 +205,17 @@ def process_runs(lp, seed: int) -> list:
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def move(old: str, new: str) -> float:
-    """Largest move of a number from old to new text, in eps times the largest |number|
-    of old; inf when the texts differ outside their numbers."""
-    if old == new:
-        return 0.0
+def move(old, new) -> float:
+    """Largest move of a number from old to new text (str or bytes), in eps times the
+    largest |number| of old; inf when the texts differ outside their numbers."""
+    if isinstance(old, bytes):
+        old, new = old.decode(errors="replace"), new.decode(errors="replace")
     if NUMBER.sub("#", old) != NUMBER.sub("#", new):
         return math.inf
     a, b = [float(x) for x in NUMBER.findall(old)], [float(x) for x in NUMBER.findall(new)]
     largest = max(abs(x - y) for x, y in zip(a, b))
     scale = sys.float_info.epsilon * max(map(abs, a))
     return largest / scale if scale > 0.0 else (math.inf if largest else 0.0)
-
-
-class Texts:
-    """Tells whether texts of the two trees differ, beyond the tolerance when one is
-    given, and keeps the largest move of a number seen."""
-
-    def __init__(self, tolerance_eps: float | None):
-        self.tolerance_eps = tolerance_eps
-        self.largest = 0.0
-
-    def differ(self, old, new) -> bool:
-        """True when old and new (str or bytes) differ beyond the tolerance, or at all without one."""
-        if old == new:
-            return False
-        if isinstance(old, bytes):
-            old, new = old.decode(errors="replace"), new.decode(errors="replace")
-        moved = move(old, new)
-        self.largest = max(self.largest, moved)
-        return self.tolerance_eps is None or not moved <= self.tolerance_eps
-
-    def outcome_differs(self, old: tuple, new: tuple) -> bool:
-        """Outcomes (exit code, text, ...): equal codes, and no text differing."""
-        return old[0] != new[0] or any([self.differ(a, b) for a, b in zip(old[1:], new[1:])])
 
 
 def main(argv=None) -> int:
@@ -254,7 +231,16 @@ def main(argv=None) -> int:
     if args.tolerance_eps is not None and not 0.0 <= args.tolerance_eps < math.inf:
         parser.error("--tolerance-eps must be finite and >= 0")
     forward = args.sets // 2
-    compare = Texts(args.tolerance_eps)
+    largest = 0.0  # the largest move of a number in any differing text
+
+    def differs(old, new) -> bool:
+        """True when old and new differ, beyond the tolerance when one is given."""
+        nonlocal largest
+        if old == new:
+            return False
+        moved = move(old, new)
+        largest = max(largest, moved)
+        return args.tolerance_eps is None or not moved <= args.tolerance_eps
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -269,16 +255,19 @@ def main(argv=None) -> int:
             for run, (code, report) in old.items():
                 seen[run, code] += 1
                 codes[run] += code != new[run][0]
-                reports[run] += compare.differ(report, new[run][1])
+                reports[run] += differs(report, new[run][1])
             classes += old["classify"][1].split(" ", 1)[0] != new["classify"][1].split(" ", 1)[0]
         moved = Counter()
         for i in range(forward):
             old, new = forward_text(parent, args.seed, i), forward_text(change, args.seed, i)
-            moved[FORWARD_KINDS[i % 3]] += compare.differ(old, new)
+            moved[FORWARD_KINDS[i % 3]] += differs(old, new)
         forward_diff = sum(moved.values())
         runs = process_runs(parent, args.seed)
-        process_diff = sum(compare.outcome_differs(process_outcome("lp_parent", tmp, *run),
-                                                   process_outcome("lp_change", tmp, *run)) for run in runs)
+        process_diff = 0
+        for run in runs:  # outcomes (exit code, texts ...): equal codes, and no text differing
+            (code, *old), (new_code, *new) = [process_outcome(name, tmp, *run)
+                                              for name in ("lp_parent", "lp_change")]
+            process_diff += code != new_code or any([differs(a, b) for a, b in zip(old, new)])
 
     print(f"recovery sets: {len(texts)} (seed {args.seed})")
     if args.tolerance_eps is not None:
@@ -294,7 +283,7 @@ def main(argv=None) -> int:
     print(f"forward sets: {forward}, simulate texts differing {forward_diff}"
           + (f" ({kinds})" if forward_diff else ""))
     print(f"cli processes: {len(runs)}, differing {process_diff}")
-    print(f"largest move of a number: {compare.largest:.3g} eps * scale")
+    print(f"largest move of a number: {largest:.3g} eps * scale")
     total = sum(codes.values()) + sum(reports.values()) + classes + forward_diff + process_diff
     print(f"total differences: {total}")
     return 1 if total else 0

@@ -49,6 +49,12 @@ def _check_tolerance(tol: float) -> float:
     return tol
 
 
+def _norm2(n) -> float:
+    """n.n of four floats."""
+    n0, n1, n2, n3 = n
+    return n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
+
+
 def _square(v) -> complex:
     """v.v of three complex numbers, without conjugation."""
     v0, v1, v2 = v
@@ -126,7 +132,7 @@ def _matrix(m) -> list:
 
 def _rotation_rows(n, norm_tol: float = 1e-9) -> list:
     n0, n1, n2, n3 = n
-    norm2 = n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
+    norm2 = _norm2(n)
     if not abs(norm2 - 1.0) < norm_tol:  # NaN included
         raise NormViolation(f"quaternion norm^2 = {norm2!r}, expected 1")
     return [

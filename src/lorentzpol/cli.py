@@ -30,7 +30,7 @@ import re
 import sys
 
 from . import jsonio
-from .algebra import (MuellerClass, _boost_element, _check_tolerance, _k_from_q, _lorentz_rows,
+from .algebra import (MuellerClass, _boost_element, _check_tolerance, _k_from_q, _lorentz_rows, _norm2,
                       _rotation_element, is_lorentzian)
 from .errors import LorentzpolError
 from .lorentz import recover_parameters, verify_round_trip
@@ -128,8 +128,8 @@ class NotLorentzianInput(LorentzpolError):
 def _rotation_payload(ms: MeasurementSet, tol: float) -> dict:
     block = rotation_from_measurements(ms, tol)
     # a loose --tol admits noisy data, so loosen the extraction gate with it
-    n0, n1, n2, n3 = quaternion = recover_quaternion(block, ortho_tol=max(1e-6, tol))
-    norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3)
+    quaternion = recover_quaternion(block, ortho_tol=max(1e-6, tol))
+    norm = math.sqrt(_norm2(quaternion))
     unit = [x / norm for x in quaternion]
     rebuilt, direct = embed_rotation(quaternion_to_rotation(unit)), reconstruct_mueller(ms)
     deviation = max([abs(x - y) for r, d in zip(rebuilt, direct) for x, y in zip(r, d)])

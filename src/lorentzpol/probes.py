@@ -30,9 +30,9 @@ from .errors import NonPositiveIntensity
 INTENSITY_RANGE = (1e-100, 1e100)
 MAX_OUTPUT_RATIO = 1e50
 
-# A measurement set's JSON text in one format; dumps writes the same bytes for a float intensity.
-_JSON = '{"intensity": %s, "outputs": {"F": %s, "A": %s, "B": %s, "C": %s}}' % (
-    jsonio.NUMBER, *[jsonio._ROW[4]] * 4)
+# A measurement set's JSON text in one format: the bytes of jsonio.dumps on its fields.
+_JSON = '{"intensity": %%s, "outputs": {"F": %s, "A": %s, "B": %s, "C": %s}}' % (
+    ("[" + ", ".join([jsonio.NUMBER] * 4) + "]",) * 4)
 
 
 class NoiseSpec(_Value):
@@ -71,10 +71,8 @@ class MeasurementSet(_Value):
         object.__setattr__(self, "stokes", stokes)
 
     def to_json(self) -> str:
-        f, a, b, c = self.stokes
-        if type(self.intensity) is not float:  # an int past 2**53 or a bool prints differently with %g
-            return jsonio.dumps({"intensity": self.intensity, "outputs": {"F": f, "A": a, "B": b, "C": c}})
-        return _JSON % (self.intensity, *f, *a, *b, *c)  # __init__ keeps every number finite
+        f, a, b, c = self.stokes  # __init__ keeps every output a finite float
+        return _JSON % (jsonio.dumps(self.intensity), *f, *a, *b, *c)
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSet":
