@@ -55,6 +55,11 @@ def _norm2(n) -> float:
     return n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
 
 
+def _max_deviation(a, b) -> float:
+    """max |a[i][j] - b[i][j]| over two matrices given as rows of floats."""
+    return max([abs(x - y) for r, d in zip(a, b) for x, y in zip(r, d)])
+
+
 def _square(v) -> complex:
     """v.v of three complex numbers, without conjugation."""
     v0, v1, v2 = v
@@ -321,8 +326,13 @@ def is_lorentzian(m, tol: float = 1e-9) -> MuellerClass:
     NaN.  All on Python floats, det M in 2x2 minors; nested lists of floats
     are read without numpy.
     """
+    _check_tolerance(tol)  # before the matrix is read, so a bad tol is the error reported
+    return _classify(_matrix(m), tol)
+
+
+def _classify(rows: list, tol: float) -> MuellerClass:
+    """is_lorentzian on the rows of a 4x4 matrix: four lists, or four tuples, of four floats."""
     _check_tolerance(tol)
-    rows = _matrix(m)
     flat = rows[0] + rows[1] + rows[2] + rows[3]
     scale = max(map(abs, flat))
     if scale == 0.0:

@@ -30,17 +30,19 @@ import re
 import sys
 
 from . import jsonio
-from .algebra import (MuellerClass, _boost_element, _check_tolerance, _k_from_q, _lorentz_rows, _norm2,
-                      _rotation_element, is_lorentzian)
+from .algebra import (MuellerClass, _boost_element, _check_tolerance, _k_from_q, _lorentz_rows, _max_deviation,
+                      _norm2, _rotation_element)
 from .errors import LorentzpolError
-from .lorentz import recover_parameters, verify_round_trip
-from .probes import LorentzResiduals, MeasurementSet, NoiseSpec, _simulate, lorentz_residuals
+from .probes import MeasurementSet, NoiseSpec, _simulate
 
-# These stages keep the names of the public functions whose work they do, the names
-# benchmark/run.py traces on this module; they are those functions' float kernels,
-# which take and return lists, so that the CLI builds no array.
-from .algebra import _embed as embed_rotation, _rotation_rows as quaternion_to_rotation
-from .probes import _mueller_rows as reconstruct_mueller
+# The chain calls its stages by the names of the public functions whose work they do, the
+# names benchmark/run.py traces on this module.  Each is bound to that function's float kernel:
+# reconstruct_mueller and lorentz_residuals run once per set, and the classification, recovery
+# and round-trip kernels take the rows they made, so that nothing is computed twice and no
+# array or result object is built.
+from .algebra import _classify as is_lorentzian, _embed as embed_rotation, _rotation_rows as quaternion_to_rotation
+from .lorentz import _recover as recover_parameters, _round_trip as verify_round_trip
+from .probes import _mueller_rows as reconstruct_mueller, _residuals as lorentz_residuals
 from .rotation import _quaternion as recover_quaternion, _rotation_block as rotation_from_measurements
 
 # argparse takes "-1e-3" or "-0.3+0.1j" for an option unless its negative-number pattern matches
@@ -115,62 +117,86 @@ class NotLorentzianInput(LorentzpolError):
 
     exit_code = 5
 
-    def __init__(self, residuals: LorentzResiduals, tol: float):
-        super().__init__(f"normalized residual {residuals.normalized_max:.6g} exceeds tol {tol:g}")
+    def __init__(self, residuals: tuple[list, float], tol: float):
+        r, normalized_max = residuals
+        super().__init__(f"normalized residual {normalized_max:.6g} exceeds tol {tol:g}")
         self.report = {
             "error": str(self),
-            "lorentz_residuals": residuals.values(),
-            "max_normalized_residual": residuals.normalized_max,
+            "lorentz_residuals": r,
+            "max_normalized_residual": normalized_max,
             "tolerance": tol,
         }
 
 
-def _rotation_payload(ms: MeasurementSet, tol: float) -> dict:
+# Each exit-0 report kind in one format, which gives the bytes of jsonio.dumps on its dict:
+# every number slot is jsonio.NUMBER, and a %s slot takes the dumps text of the tolerance or
+# of an error message.
+def _list(n: int) -> str:
+    return "[" + ", ".join([jsonio.NUMBER] * n) + "]"
+
+
+_MATRIX = "[" + ", ".join([_list(4)] * 4) + "]"
+_LORENTZ = (f'"delta": {jsonio.NUMBER}, "M": {_list(3)}, "N": {_list(3)}, '
+            f'"k": {{"re": {_list(4)}, "im": {_list(4)}}}, "q": {{"re": {_list(3)}, "im": {_list(3)}}}, '
+            f'"round_trip_max_dev": {jsonio.NUMBER}, "lorentz_residuals": {_list(4)}}}')
+_ROTATION = f'"quaternion": {_list(4)}, "round_trip_max_dev": {jsonio.NUMBER}, "lorentz_residuals": {_list(4)}}}'
+_AUTO = '{"classification": "%s", "tolerance": %%s, '  # then the body of the classification's report
+_NOT_LORENTZIAN = (_AUTO % "not-lorentzian" + f'"matrix": {_MATRIX}, "lorentz_residuals": {_list(4)}, '
+                   f'"max_normalized_residual": {jsonio.NUMBER}, ')
+RAW_REPORT = f'{{"matrix": {_MATRIX}}}'
+LORENTZ_REPORT, AUTO_LORENTZ_REPORT = "{" + _LORENTZ, _AUTO % "lorentz" + _LORENTZ
+ROTATION_REPORT, AUTO_ROTATION_REPORT = "{" + _ROTATION, _AUTO % "rotation" + _ROTATION
+NOT_LORENTZIAN_REPORT = _NOT_LORENTZIAN + f'"round_trip_max_dev": {jsonio.NUMBER}}}'
+NOT_LORENTZIAN_ERROR_REPORT = _NOT_LORENTZIAN + '"round_trip_error": %s}'
+
+
+def _write(template: str, head: tuple, numbers: list, tail: tuple = ()) -> str:
+    """template % (*head, *numbers, *tail); a non-finite number raises jsonio's ValueError,
+    as jsonio.dumps does on the report's dict."""
+    if not all(map(math.isfinite, numbers)):
+        jsonio.dumps(numbers)  # raises ValueError: non-finite number in JSON output
+    return template % (*head, *numbers, *tail)
+
+
+def _lorentz_numbers(ms: MeasurementSet, rows: list, r: list) -> list:
+    delta, mvec, nvec, (k0, k1, k2, k3), (q1, q2, q3), deviation = recover_parameters(ms, rows)
+    return [delta, *mvec, *nvec, k0.real, k1.real, k2.real, k3.real, k0.imag, k1.imag, k2.imag, k3.imag,
+            q1.real, q2.real, q3.real, q1.imag, q2.imag, q3.imag, deviation, *r]
+
+
+def _rotation_numbers(ms: MeasurementSet, rows: list, r: list, tol: float) -> list:
     block = rotation_from_measurements(ms, tol)
     # a loose --tol admits noisy data, so loosen the extraction gate with it
     quaternion = recover_quaternion(block, ortho_tol=max(1e-6, tol))
     norm = math.sqrt(_norm2(quaternion))
-    unit = [x / norm for x in quaternion]
-    rebuilt, direct = embed_rotation(quaternion_to_rotation(unit)), reconstruct_mueller(ms)
-    deviation = max([abs(x - y) for r, d in zip(rebuilt, direct) for x, y in zip(r, d)])
-    return {
-        "quaternion": quaternion,
-        "round_trip_max_dev": deviation,
-        "lorentz_residuals": lorentz_residuals(ms).values(),
-    }
+    rebuilt = embed_rotation(quaternion_to_rotation([x / norm for x in quaternion]))
+    return [*quaternion, _max_deviation(rebuilt, rows), *r]
 
 
-def _recover_payload(ms: MeasurementSet, model: str, tol: float) -> dict:
-    """Build the report dict for one measurement set; raises on failure."""
+def _report(ms: MeasurementSet, model: str, tol: float, rows: list, residuals: tuple[list, float]) -> str:
+    """The exit-0 report of one measurement set, from its reconstructed rows and its
+    residuals; raises LorentzpolError on failure."""
+    r, normalized_max = residuals
     if model == "raw":
-        return {"matrix": reconstruct_mueller(ms)}
+        return _write(RAW_REPORT, (), [*rows[0], *rows[1], *rows[2], *rows[3]])
     if model == "rotation":
-        return _rotation_payload(ms, tol)
+        return _write(ROTATION_REPORT, (), _rotation_numbers(ms, rows, r, tol))
     if model == "lorentz":
-        residuals = lorentz_residuals(ms)
-        if residuals.normalized_max > tol:
+        if normalized_max > tol:
             raise NotLorentzianInput(residuals, tol)
-        return recover_parameters(ms).to_json_dict()
+        return _write(LORENTZ_REPORT, (), _lorentz_numbers(ms, rows, r))
     # auto
-    matrix = reconstruct_mueller(ms)
-    classification = is_lorentzian(matrix, tol)
-    payload = {"classification": classification.value, "tolerance": tol}
+    classification = is_lorentzian(rows, tol)
+    head = (jsonio.dumps(tol),)
+    if classification is MuellerClass.LORENTZ:
+        return _write(AUTO_LORENTZ_REPORT, head, _lorentz_numbers(ms, rows, r))
     if classification is MuellerClass.ROTATION:
-        payload.update(_rotation_payload(ms, tol))
-    elif classification is MuellerClass.LORENTZ:
-        payload.update(recover_parameters(ms).to_json_dict())
-    else:
-        trip = verify_round_trip(ms, tol)
-        payload.update({
-            "matrix": matrix,
-            "lorentz_residuals": trip.residuals.values(),
-            "max_normalized_residual": trip.residuals.normalized_max,
-        })
-        if trip.max_deviation is not None:
-            payload["round_trip_max_dev"] = trip.max_deviation
-        else:
-            payload["round_trip_error"] = trip.error
-    return payload
+        return _write(AUTO_ROTATION_REPORT, head, _rotation_numbers(ms, rows, r, tol))
+    deviation, error = verify_round_trip(ms, rows)
+    numbers = [*rows[0], *rows[1], *rows[2], *rows[3], *r, normalized_max]
+    if error is None:
+        return _write(NOT_LORENTZIAN_REPORT, head, numbers + [deviation])
+    return _write(NOT_LORENTZIAN_ERROR_REPORT, head, numbers, (jsonio.dumps(error),))
 
 
 def _recover_one(path: str, model: str, tol: float) -> tuple[int, str, str]:
@@ -179,16 +205,16 @@ def _recover_one(path: str, model: str, tol: float) -> tuple[int, str, str]:
         ms = _load_measurements(path)
     except Exception as exc:  # whatever stops the read, the input is unusable: exit 2
         return 2, "", f"error: cannot read measurements from {path!r}: {exc}"
+    rows, residuals = reconstruct_mueller(ms), lorentz_residuals(ms)
     try:
-        payload = _recover_payload(ms, model, tol)
+        return 0, _report(ms, model, tol, rows, residuals), ""
     except LorentzpolError as exc:
         report = exc.report if isinstance(exc, NotLorentzianInput) else {
             "error": f"{type(exc).__name__}: {exc}",
-            "matrix": reconstruct_mueller(ms),
-            "lorentz_residuals": lorentz_residuals(ms).values(),
+            "matrix": rows,
+            "lorentz_residuals": residuals[0],
         }
         return exc.exit_code, "", jsonio.dumps(report)
-    return 0, jsonio.dumps(payload), ""
 
 
 def cmd_recover(args) -> int:
@@ -239,11 +265,11 @@ def cmd_classify(args) -> int:
     except Exception as exc:  # as in _recover_one
         return _fail(f"cannot read measurements from {args.input!r}: {exc}", 2)
     classification = is_lorentzian(reconstruct_mueller(ms), args.tol)
-    residuals = lorentz_residuals(ms)
-    values = ", ".join(jsonio.format_number(x) for x in residuals.values())
+    r, normalized_max = lorentz_residuals(ms)
+    values = ", ".join(jsonio.format_number(x) for x in r)
     print(
         f"{classification.value} residuals=[{values}] "
-        f"max_normalized={jsonio.format_number(residuals.normalized_max)} tol={args.tol:g}"
+        f"max_normalized={jsonio.format_number(normalized_max)} tol={args.tol:g}"
     )
     return {
         MuellerClass.LORENTZ: 0,

@@ -22,6 +22,9 @@ with boosts) is a hard singularity of the method.
 Recovery is a single pass over the 16 outputs, which a measurement set keeps as
 Python floats; delta, M, N, k and q come from it as Python float and complex
 scalars, arrays are built only when a caller reads them, and Lambda is never built.
+The kernels _recover and _round_trip take the reconstructed matrix as rows of
+floats, which the CLI computes once per set; recover_parameters and
+verify_round_trip reconstruct it and wrap the kernels' results in result objects.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import _Value, _array, _array_view, _canonical, _check_tolerance, _lorentz_rows, _square
+from .algebra import (_Value, _array, _array_view, _canonical, _check_tolerance, _lorentz_rows, _max_deviation,
+                      _square)
 from .errors import DegenerateTrace, LorentzpolError, SingularNormalization
 from .probes import LorentzResiduals, MeasurementSet, _mueller_rows, lorentz_residuals
 
@@ -160,6 +164,14 @@ def recover_q(ms: MeasurementSet):
     return _array(q)
 
 
+def _recover(ms: MeasurementSet, rows: list) -> tuple:
+    """(delta, M, N, k, q, deviation): the recovery, and the max elementwise
+    deviation of the matrix rebuilt from k from rows, the reconstructed matrix."""
+    _, delta, mvec, nvec, q = _extract(ms)
+    k = _assemble_k(delta, mvec, nvec)
+    return delta, mvec, nvec, k, q, _max_deviation(_lorentz_rows(k), rows)
+
+
 def recover_parameters(ms: MeasurementSet) -> RecoveryResult:
     """Run the whole chain and quantify the rebuild error.
 
@@ -168,28 +180,25 @@ def recover_parameters(ms: MeasurementSet) -> RecoveryResult:
     directly reconstructed matrix together with the Minkowski residuals of
     the raw measurements.
     """
-    _, delta, mvec, nvec, q = _extract(ms)
-    k = _assemble_k(delta, mvec, nvec)
-    rebuilt, direct = _lorentz_rows(k), _mueller_rows(ms)
-    deviation = max([abs(x - y) for r, d in zip(rebuilt, direct) for x, y in zip(r, d)])
+    delta, mvec, nvec, k, q, deviation = _recover(ms, _mueller_rows(ms))
     return RecoveryResult(delta, (mvec, nvec, k, q), deviation, lorentz_residuals(ms))
+
+
+def _round_trip(ms: MeasurementSet, rows: list) -> tuple[float | None, str | None]:
+    """(deviation, None) from _recover, or (None, "ErrorName: message") where it raises."""
+    try:
+        return _recover(ms, rows)[5], None
+    except LorentzpolError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def verify_round_trip(ms: MeasurementSet, tol: float = 1e-9) -> RoundTripReport:
     """Round-trip check that never raises: recovery errors go in the report."""
-    try:
-        result = recover_parameters(ms)
-    except LorentzpolError as exc:
-        return RoundTripReport(
-            passed=False,
-            max_deviation=None,
-            tol=tol,
-            residuals=lorentz_residuals(ms),
-            error=f"{type(exc).__name__}: {exc}",
-        )
+    deviation, error = _round_trip(ms, _mueller_rows(ms))
     return RoundTripReport(
-        passed=result.round_trip_max_dev < tol,
-        max_deviation=result.round_trip_max_dev,
+        passed=error is None and deviation < tol,
+        max_deviation=deviation,
         tol=tol,
-        residuals=result.residuals,
+        residuals=lorentz_residuals(ms),
+        error=error,
     )

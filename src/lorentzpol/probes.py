@@ -33,6 +33,8 @@ MAX_OUTPUT_RATIO = 1e50
 # A measurement set's JSON text in one format: the bytes of jsonio.dumps on its fields.
 _JSON = '{"intensity": %%s, "outputs": {"F": %s, "A": %s, "B": %s, "C": %s}}' % (
     ("[" + ", ".join([jsonio.NUMBER] * 4) + "]",) * 4)
+# json's reader, except that the int literal "-0" reads as the -0.0 that %.17g writes that way
+_DECODER = json.JSONDecoder(parse_int=lambda text: -0.0 if text == "-0" else int(text))
 
 
 class NoiseSpec(_Value):
@@ -78,7 +80,7 @@ class MeasurementSet(_Value):
     def from_json(cls, text: str) -> "MeasurementSet":
         """Parse a measurement JSON text; ValueError if it is malformed or out of range."""
         try:
-            data = json.loads(text)
+            data = _DECODER.decode(text)
             intensity = float(data["intensity"])
             outputs = data["outputs"]
             return cls(intensity, *[outputs[name] for name in ("F", "A", "B", "C")])
@@ -161,8 +163,14 @@ class LorentzResiduals(_Value):
         return [self.r0, self.r1, self.r2, self.r3]
 
 
-def lorentz_residuals(ms: MeasurementSet) -> LorentzResiduals:
+def _residuals(ms: MeasurementSet) -> tuple[list, float]:
+    """The residuals r0..r3 as a list of floats, and max |r| / I^2."""
     i2 = ms.intensity ** 2
     r = [s0 * s0 - s1 * s1 - s2 * s2 - s3 * s3 for s0, s1, s2, s3 in ms.stokes]
     r[0] -= i2
-    return LorentzResiduals(*r, normalized_max=max(map(abs, r)) / i2)
+    return r, max(map(abs, r)) / i2
+
+
+def lorentz_residuals(ms: MeasurementSet) -> LorentzResiduals:
+    r, normalized_max = _residuals(ms)
+    return LorentzResiduals(*r, normalized_max=normalized_max)

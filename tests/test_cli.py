@@ -1,15 +1,23 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lorentzpol as lp
+from lorentzpol import cli, jsonio, lorentz
 from lorentzpol.cli import main
+
+from conftest import dense_matrices, unit_quaternions, vector_parameters
 
 GOLDEN = Path(__file__).parent / "golden"
 LN2_TEXT = "0.6931471805599453"
@@ -367,21 +375,130 @@ def test_batch_reports_non_finite_file_and_continues(tmp_path, capsys):
     assert not (tmp_path / "b_nan.recovery.json").exists()
 
 
-def test_noisy_recover_computes_residuals_once(tmp_path, capsys, monkeypatch):
-    calls = []
+@pytest.mark.parametrize("element, noise, code, classification", [
+    (lp.lorentz_from_k(lp.k_from_q([0.2 + 0.1j, -0.3j, 0.25])), None, 0, "lorentz"),
+    (lp.rotation_mueller(2, 0.8), None, 0, "rotation"),
+    (lp.boost_mueller(3, 0.5), lp.NoiseSpec(1e-4, 3), 0, "not-lorentzian"),
+    (lp.rotation_mueller(1, np.pi), None, 4, None),
+], ids=["lorentz", "rotation", "not-lorentzian", "near-pi"])
+def test_noisy_recover_computes_residuals_once(tmp_path, capsys, monkeypatch, element, noise, code,
+                                               classification):
+    # the matrix and the residuals of a set are computed once, by the CLI's names or the library's
+    calls = {"reconstruct_mueller": 0, "lorentz_residuals": 0}
 
-    def counted(ms):
-        calls.append(ms)
-        return lp.lorentz_residuals(ms)
+    def counted(name, fn):
+        def call(ms):
+            calls[name] += 1
+            return fn(ms)
+        return call
 
-    monkeypatch.setattr("lorentzpol.cli.lorentz_residuals", counted)
-    monkeypatch.setattr("lorentzpol.lorentz.lorentz_residuals", counted)
-    ms = lp.simulate_measurements(lp.boost_mueller(3, 0.5), 1.0, lp.NoiseSpec(1e-4, 3))
-    path = tmp_path / "noisy.json"
-    path.write_text(ms.to_json())
-    code, out, _ = run_cli(capsys, "recover", str(path))
-    assert code == 0 and json.loads(out)["classification"] == "not-lorentzian"
-    assert len(calls) == 1
+    for module, attr, name in ((cli, "reconstruct_mueller", "reconstruct_mueller"),
+                               (lorentz, "_mueller_rows", "reconstruct_mueller"),
+                               (cli, "lorentz_residuals", "lorentz_residuals"),
+                               (lorentz, "lorentz_residuals", "lorentz_residuals")):
+        monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
+    path = tmp_path / "set.json"
+    path.write_text(lp.simulate_measurements(element, 1.0, noise).to_json())
+    got, out, err = run_cli(capsys, "recover", str(path))
+    assert got == code
+    if classification:
+        assert json.loads(out)["classification"] == classification
+    else:
+        assert "NearPiRotation" in json.loads(err)["error"]
+    assert calls == {"reconstruct_mueller": 1, "lorentz_residuals": 1}
+
+
+def _reference_recover(ms, model, tol):
+    """(exit code, report) of `recover` on ms as the chain wrote them before its one-format writer:
+    the report's dict, built from the library's public results, then jsonio.dumps."""
+    matrix = lp.reconstruct_mueller(ms).tolist()
+    residuals = lp.lorentz_residuals(ms)
+
+    def rotation():
+        block = lp.rotation_from_measurements(ms, tol)
+        quaternion = lp.recover_quaternion(block, ortho_tol=max(1e-6, tol)).tolist()
+        n0, n1, n2, n3 = quaternion
+        norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3)
+        rebuilt = lp.embed_rotation(lp.quaternion_to_rotation([x / norm for x in quaternion]))
+        deviation = max([abs(x - y) for r, d in zip(rebuilt.tolist(), matrix) for x, y in zip(r, d)])
+        return {"quaternion": quaternion, "round_trip_max_dev": deviation,
+                "lorentz_residuals": residuals.values()}
+
+    try:
+        if model == "raw":
+            payload = {"matrix": matrix}
+        elif model == "rotation":
+            payload = rotation()
+        elif model == "lorentz":
+            if residuals.normalized_max > tol:
+                return 5, jsonio.dumps({
+                    "error": f"normalized residual {residuals.normalized_max:.6g} exceeds tol {tol:g}",
+                    "lorentz_residuals": residuals.values(),
+                    "max_normalized_residual": residuals.normalized_max, "tolerance": tol})
+            payload = lp.recover_parameters(ms).to_json_dict()
+        else:
+            classification = lp.is_lorentzian(matrix, tol)
+            payload = {"classification": classification.value, "tolerance": tol}
+            if classification is lp.MuellerClass.ROTATION:
+                payload.update(rotation())
+            elif classification is lp.MuellerClass.LORENTZ:
+                payload.update(lp.recover_parameters(ms).to_json_dict())
+            else:
+                trip = lp.verify_round_trip(ms, tol)
+                payload.update({"matrix": matrix, "lorentz_residuals": trip.residuals.values(),
+                                "max_normalized_residual": trip.residuals.normalized_max})
+                if trip.max_deviation is not None:
+                    payload["round_trip_max_dev"] = trip.max_deviation
+                else:
+                    payload["round_trip_error"] = trip.error
+    except lp.LorentzpolError as exc:
+        return exc.exit_code, jsonio.dumps({"error": f"{type(exc).__name__}: {exc}", "matrix": matrix,
+                                            "lorentz_residuals": residuals.values()})
+    return 0, jsonio.dumps(payload)
+
+
+@st.composite
+def recover_inputs(draw):
+    """A measurement set of every kind the recover chain branches on."""
+    kind = draw(st.sampled_from(["lorentz", "rotation", "noisy", "trace-free", "dense"]))
+    if kind == "dense":
+        element = draw(dense_matrices())
+    elif kind == "rotation":
+        element = lp.embed_rotation(lp.quaternion_to_rotation(draw(unit_quaternions())))
+    elif kind == "trace-free":  # a boost after a pi rotation; scaled, it is also not Lorentz-type
+        beta, scale = draw(st.floats(0.05, 2.0)), draw(st.sampled_from([1.0, 2.0]))
+        element = scale * lp.boost_mueller(3, beta) @ lp.rotation_mueller(1, np.pi)
+    else:
+        q = draw(vector_parameters())
+        element = lp.lorentz_from_k(lp.k_from_q(q)) if draw(st.booleans()) else lp.embed_rotation(
+            lp.quaternion_to_rotation(draw(unit_quaternions())))
+    intensity = draw(st.floats(0.5, 2.0))
+    sigma = draw(st.sampled_from([1e-6, 1e-4])) if kind == "noisy" else 0.0
+    noise = lp.NoiseSpec(sigma * intensity, draw(st.integers(0, 2**31 - 1)))
+    return lp.MeasurementSet.from_json(lp.simulate_measurements(element, intensity, noise).to_json())
+
+
+@settings(max_examples=300)
+@given(recover_inputs(), st.sampled_from(["auto", "lorentz", "rotation", "raw"]),
+       st.sampled_from([1e-9, 1e-3]))
+def test_report_writer_gives_the_bytes_of_the_reference(ms, model, tol):
+    with mock.patch("sys.stdin", io.StringIO(ms.to_json())):
+        code, out, err = cli._recover_one("-", model, tol)
+    assert (code, out or err) == _reference_recover(ms, model, tol)
+    assert (out == "") == (code != 0)
+
+
+@pytest.mark.parametrize("model", ["auto", "lorentz", "rotation", "raw"])
+def test_report_writer_raises_the_dumps_error_on_nan(model):
+    ms = lp.simulate_measurements(np.eye(4), 1.0)
+    rows = cli.reconstruct_mueller(ms)
+    r, normalized_max = cli.lorentz_residuals(ms)
+    if model == "raw":
+        rows[2][1] = math.nan  # the only numbers of a raw report
+    else:
+        r[2] = math.nan
+    with pytest.raises(ValueError, match=r"^non-finite number in JSON output: nan$"):
+        cli._report(ms, model, 1e-9, rows, (r, normalized_max))
 
 
 def test_classify_exit_codes(tmp_path, capsys):
@@ -461,6 +578,16 @@ def test_golden_recover_bytes():
         capture_output=True, check=True, env=BUFFERED,
     )
     assert result.stdout == (GOLDEN / "recover_boost3_ln2.json").read_bytes()
+
+
+def test_golden_rotation_recover_bytes():
+    # the rotation report of `recover --model auto`: quaternion, rebuild and residuals
+    simulate = subprocess.run([sys.executable, "-m", "lorentzpol", "simulate", "--rotation", "1", "--theta",
+                               "0.7"], capture_output=True, check=True, env=BUFFERED, timeout=60)
+    recover = subprocess.run([sys.executable, "-m", "lorentzpol", "recover", "--model", "auto"],
+                             input=simulate.stdout, capture_output=True, env=BUFFERED, timeout=60)
+    assert (recover.returncode, recover.stderr) == (0, b"")
+    assert recover.stdout == (GOLDEN / "recover_rotation1_auto.json").read_bytes()
 
 
 QPARAM = ("--qparam", "0.3+0.2j", "-0.1+0.4j", "0.25-0.3j")

@@ -205,9 +205,18 @@ def test_to_json_gives_the_bytes_of_dumps(data):
     assert text == jsonio.dumps({"intensity": intensity, "outputs": {"F": f, "A": a, "B": b, "C": c}})
     back = lp.MeasurementSet.from_json(text)
     assert back.intensity == float(intensity) and back.stokes == ms.stokes
-    # json.loads reads "-0" and an int intensity as ints, which come back as floats
-    if isinstance(intensity, float) and not any(math.copysign(1.0, x) < 0.0 for x in flat if x == 0.0):
+    # a -0.0 output is written "-0" and read back as -0.0; an int intensity reads back as a float
+    if isinstance(intensity, float):
         assert back.to_json() == text
+
+
+def test_from_json_reads_minus_zero_as_negative_zero():
+    ms = lp.MeasurementSet(1.0, [1.0, -0.0, 0.0, -0.0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1])
+    text = ms.to_json()
+    assert '"F": [1, -0, 0, -0]' in text
+    back = lp.MeasurementSet.from_json(text)
+    assert [math.copysign(1.0, x) for x in back.stokes[0]] == [1.0, -1.0, 1.0, -1.0]
+    assert back.to_json() == text
 
 
 def test_json_17_digit_floats():

@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -126,10 +127,13 @@ def test_end_to_end_rotation_recovery(n):
 def test_rotation_payload_matches_numpy_expressions_bitwise(n, intensity, eps, seed):
     # the unit quaternion is n / sqrt(n.n) in Python floats, bit for bit, and within a few eps
     # of np.linalg.norm's; the deviation gives the bits of np.abs(...).max() on that unit
+    # the report writes each double in 17 significant digits, which read back to the same double
     element = lp.embed_rotation(lp.quaternion_to_rotation(n))
     ms = lp.simulate_measurements(element, intensity, lp.NoiseSpec(eps * intensity, seed))
+    rows, residuals = cli.reconstruct_mueller(ms), cli.lorentz_residuals(ms)
     with mock.patch.object(cli, "quaternion_to_rotation", wraps=cli.quaternion_to_rotation) as spy:
-        payload = cli._rotation_payload(ms, 1e-5 if eps else 1e-9)
+        text = cli._report(ms, "rotation", 1e-5 if eps else 1e-9, rows, residuals)
+    payload = json.loads(text, parse_int=float)  # an integral double is written as an int literal
     quaternion = payload["quaternion"]
     n0, n1, n2, n3 = quaternion
     unit = np.array([x / math.sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3) for x in quaternion])
