@@ -409,8 +409,8 @@ def test_noisy_recover_computes_residuals_once(tmp_path, capsys, monkeypatch, el
 
 
 def _reference_recover(ms, model, tol):
-    """(exit code, report) of `recover` on ms as the chain wrote them before its one-format writer:
-    the report's dict, built from the library's public results, then jsonio.dumps."""
+    """(exit code, report) of `recover` on ms, built as a dict from the library's public results
+    and written by jsonio.dumps: the reference for the CLI's one-format report writer."""
     matrix = lp.reconstruct_mueller(ms).tolist()
     residuals = lp.lorentz_residuals(ms)
 

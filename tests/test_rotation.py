@@ -126,8 +126,8 @@ def test_end_to_end_rotation_recovery(n):
        st.integers(0, 2**31 - 1))
 def test_rotation_payload_matches_numpy_expressions_bitwise(n, intensity, eps, seed):
     # the unit quaternion is n / sqrt(n.n) in Python floats, bit for bit, and within a few eps
-    # of np.linalg.norm's; the deviation gives the bits of np.abs(...).max() on that unit
-    # the report writes each double in 17 significant digits, which read back to the same double
+    # of np.linalg.norm's; the deviation gives the bits of np.abs(...).max() on that unit.  Both are
+    # read from the report, whose 17 significant digits read back to the same doubles
     element = lp.embed_rotation(lp.quaternion_to_rotation(n))
     ms = lp.simulate_measurements(element, intensity, lp.NoiseSpec(eps * intensity, seed))
     rows, residuals = cli.reconstruct_mueller(ms), cli.lorentz_residuals(ms)
