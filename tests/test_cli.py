@@ -463,15 +463,13 @@ def recover_inputs(draw):
     kind = draw(st.sampled_from(["lorentz", "rotation", "noisy", "trace-free", "dense"]))
     if kind == "dense":
         element = draw(dense_matrices())
-    elif kind == "rotation":
-        element = lp.embed_rotation(lp.quaternion_to_rotation(draw(unit_quaternions())))
     elif kind == "trace-free":  # a boost after a pi rotation; scaled, it is also not Lorentz-type
         beta, scale = draw(st.floats(0.05, 2.0)), draw(st.sampled_from([1.0, 2.0]))
         element = scale * lp.boost_mueller(3, beta) @ lp.rotation_mueller(1, np.pi)
+    elif kind == "rotation" or kind == "noisy" and draw(st.booleans()):
+        element = lp.embed_rotation(lp.quaternion_to_rotation(draw(unit_quaternions())))
     else:
-        q = draw(vector_parameters())
-        element = lp.lorentz_from_k(lp.k_from_q(q)) if draw(st.booleans()) else lp.embed_rotation(
-            lp.quaternion_to_rotation(draw(unit_quaternions())))
+        element = lp.lorentz_from_k(lp.k_from_q(draw(vector_parameters())))
     intensity = draw(st.floats(0.5, 2.0))
     sigma = draw(st.sampled_from([1e-6, 1e-4])) if kind == "noisy" else 0.0
     noise = lp.NoiseSpec(sigma * intensity, draw(st.integers(0, 2**31 - 1)))
