@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 
 from .errors import NonRealResult, NormViolation, SingularParameter
 
@@ -56,8 +57,8 @@ def _norm2(n) -> float:
 
 
 def _max_deviation(a, b) -> float:
-    """max |a[i][j] - b[i][j]| over two matrices given as rows of floats."""
-    return max([abs(x - y) for r, d in zip(a, b) for x, y in zip(r, d)])
+    """max |a[i][j] - b[i][j]| over two 4x4 matrices, each given as four lists of floats, row by row."""
+    return max(map(abs, map(operator.sub, a[0] + a[1] + a[2] + a[3], b[0] + b[1] + b[2] + b[3])))
 
 
 def _square(v) -> complex:
@@ -333,21 +334,27 @@ def is_lorentzian(m, tol: float = 1e-9) -> MuellerClass:
 def _classify(rows: list, tol: float) -> MuellerClass:
     """is_lorentzian on the rows of a 4x4 matrix: four lists, or four tuples, of four floats."""
     _check_tolerance(tol)
-    flat = rows[0] + rows[1] + rows[2] + rows[3]
-    scale = max(map(abs, flat))
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = rows
+    scale = max(abs(m00), abs(m01), abs(m02), abs(m03), abs(m10), abs(m11), abs(m12), abs(m13),
+                abs(m20), abs(m21), abs(m22), abs(m23), abs(m30), abs(m31), abs(m32), abs(m33))
     if scale == 0.0:
         return MuellerClass.NOT_LORENTZIAN
-    c0, c1, c2, c3 = zip(*rows)
-    # (M^T g M - g)[i, j] for j >= i; the matrix is symmetric
-    metric_dev = max([
-        abs(a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3] - g)
-        for a, b, g in ((c0, c0, 1.0), (c1, c1, -1.0), (c2, c2, -1.0), (c3, c3, -1.0),
-                        (c0, c1, 0.0), (c0, c2, 0.0), (c0, c3, 0.0),
-                        (c1, c2, 0.0), (c1, c3, 0.0), (c2, c3, 0.0))
-    ])
-    if not (metric_dev < tol * scale * scale and _det4(rows) > 0.0 and flat[0] > 0.0):
+    # |(M^T g M - g)[i, j]| for j >= i, the diagonal first; the matrix is symmetric
+    metric_dev = max(
+        abs(m00 * m00 - m10 * m10 - m20 * m20 - m30 * m30 - 1.0),
+        abs(m01 * m01 - m11 * m11 - m21 * m21 - m31 * m31 + 1.0),
+        abs(m02 * m02 - m12 * m12 - m22 * m22 - m32 * m32 + 1.0),
+        abs(m03 * m03 - m13 * m13 - m23 * m23 - m33 * m33 + 1.0),
+        abs(m00 * m01 - m10 * m11 - m20 * m21 - m30 * m31),
+        abs(m00 * m02 - m10 * m12 - m20 * m22 - m30 * m32),
+        abs(m00 * m03 - m10 * m13 - m20 * m23 - m30 * m33),
+        abs(m01 * m02 - m11 * m12 - m21 * m22 - m31 * m32),
+        abs(m01 * m03 - m11 * m13 - m21 * m23 - m31 * m33),
+        abs(m02 * m03 - m12 * m13 - m22 * m23 - m32 * m33),
+    )
+    if not (metric_dev < tol * scale * scale and _det4(rows) > 0.0 and m00 > 0.0):
         return MuellerClass.NOT_LORENTZIAN
-    edge = max(abs(flat[0] - 1.0), *map(abs, flat[1:4]), *map(abs, c0[1:]))
+    edge = max(abs(m00 - 1.0), abs(m01), abs(m02), abs(m03), abs(m10), abs(m20), abs(m30))
     if edge < tol * max(1.0, scale):
         return MuellerClass.ROTATION
     return MuellerClass.LORENTZ

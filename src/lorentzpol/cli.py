@@ -36,10 +36,11 @@ from .errors import LorentzpolError
 from .probes import MeasurementSet, NoiseSpec, _simulate
 
 # The chain calls its stages by the names of the public functions whose work they do, the
-# names benchmark/run.py traces on this module.  Each is bound to that function's float kernel:
-# reconstruct_mueller and lorentz_residuals run once per set, and the classification, recovery
-# and round-trip kernels take the rows they made, so that nothing is computed twice and no
-# array or result object is built.
+# names benchmark/run.py traces on this module.  Each is bound to that function's float kernel,
+# straight-line code over unpacked floats: reconstruct_mueller and lorentz_residuals run once per
+# set, and the classification, recovery and round-trip kernels take the rows they made, so that
+# nothing is computed twice and no array or result object is built.  Each name stays one call per
+# set, so that a traced run times every stage on its own.
 from .algebra import _classify as is_lorentzian, _embed as embed_rotation, _rotation_rows as quaternion_to_rotation
 from .lorentz import _recover as recover_parameters, _round_trip as verify_round_trip
 from .probes import _mueller_rows as reconstruct_mueller, _residuals as lorentz_residuals

@@ -22,9 +22,12 @@ with boosts) is a hard singularity of the method.
 Recovery is a single pass over the 16 outputs, which a measurement set keeps as
 Python floats; delta, M, N, k and q come from it as Python float and complex
 scalars, arrays are built only when a caller reads them, and Lambda is never built.
-The kernels _recover and _round_trip take the reconstructed matrix as rows of
-floats, which the CLI computes once per set; recover_parameters and
-verify_round_trip reconstruct it and wrap the kernels' results in result objects.
+The kernels are straight-line code over unpacked local floats: each sum keeps the
+operand order of the formulas above and each max its element order, so results
+round as they always have (tests/test_kernels.py holds the earlier comprehension
+forms as references).  The kernels _recover and _round_trip take the reconstructed
+matrix as rows of floats, which the CLI computes once per set; recover_parameters
+and verify_round_trip reconstruct it and wrap the kernels' results in result objects.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import (_Value, _array, _array_view, _canonical, _check_tolerance, _lorentz_rows, _max_deviation,
-                      _square)
+from .algebra import _Value, _array, _array_view, _canonical, _check_tolerance, _lorentz_rows, _max_deviation
 from .errors import DegenerateTrace, LorentzpolError, SingularNormalization
 from .probes import LorentzResiduals, MeasurementSet, _mueller_rows, lorentz_residuals
 
@@ -123,22 +125,24 @@ def mn_from_antisymmetric(ms: MeasurementSet, delta: float) -> tuple:
 
 def _extract(ms: MeasurementSet) -> tuple[float, float, list, list, list]:
     """The single pass: (trace_sum, delta, M, N, q) from one read; M, N, q as lists."""
-    trace_sum, m, n, q_im = _read(ms)
+    trace_sum, (m1, m2, m3), (n1, n2, n3), (p1, p2, p3) = _read(ms)
     delta = _delta(trace_sum, ms.intensity)
     scale = 4.0 * ms.intensity * delta
-    q = [complex(a, 0.0 - b) / trace_sum for a, b in zip(m, q_im)]  # (m - i*q_im) / trace_sum
-    return trace_sum, delta, [x / scale for x in m], [x / scale for x in n], q
+    # q = (m - i*q_im) / trace_sum
+    q = [complex(m1, 0.0 - p1) / trace_sum, complex(m2, 0.0 - p2) / trace_sum, complex(m3, 0.0 - p3) / trace_sum]
+    return trace_sum, delta, [m1 / scale, m2 / scale, m3 / scale], [n1 / scale, n2 / scale, n3 / scale], q
 
 
 def _assemble_k(delta: float, mvec: list, nvec: list) -> list:
-    v = [complex(n, m) for n, m in zip(nvec, mvec)]
-    norm2 = delta ** 2 + _square(v)
+    (n1, n2, n3), (m1, m2, m3) = nvec, mvec
+    v1, v2, v3 = complex(n1, m1), complex(n2, m2), complex(n3, m3)
+    norm2 = delta ** 2 + (v1 * v1 + v2 * v2 + v3 * v3)
     if abs(norm2) < 1e-12:
         raise SingularNormalization(
             f"delta^2 + (N + iM).(N + iM) = {norm2!r} is singular"
         )
     root = cmath.sqrt(norm2)
-    return _canonical([delta / root] + [z / root for z in v])
+    return _canonical([delta / root, v1 / root, v2 / root, v3 / root])
 
 
 def recover_k(ms: MeasurementSet):

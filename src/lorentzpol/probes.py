@@ -62,8 +62,9 @@ class MeasurementSet(_Value):
     def __init__(self, intensity: float, f, a, b, c):
         if not intensity > 0.0:
             raise NonPositiveIntensity(f"intensity must be > 0, got {intensity}")
-        stokes = tuple(_vector(s) or tuple(_checked(s, float, (4,), "Stokes vector").tolist())
-                       for s in (f, a, b, c))
+        # numpy's conversion only for what is not a list or tuple of four numbers, in F, A, B, C order
+        stokes = (_vector(f) or _stokes(f), _vector(a) or _stokes(a), _vector(b) or _stokes(b),
+                  _vector(c) or _stokes(c))
         limit = MAX_OUTPUT_RATIO * intensity  # NaN fails every comparison below
         if not (INTENSITY_RANGE[0] <= intensity <= INTENSITY_RANGE[1]
                 and all(map(limit.__ge__, map(abs, stokes[0] + stokes[1] + stokes[2] + stokes[3])))):
@@ -81,14 +82,26 @@ class MeasurementSet(_Value):
         """Parse a measurement JSON text; ValueError if it is malformed or out of range."""
         try:
             data = _DECODER.decode(text)
-            intensity = float(data["intensity"])
+            intensity = data["intensity"]
+            if type(intensity) is str:  # float() would read it; the format holds numbers only
+                raise ValueError(f"malformed measurement JSON: intensity {intensity!r} is a string, not a number")
+            intensity = float(intensity)
             outputs = data["outputs"]
-            return cls(intensity, *[outputs[name] for name in ("F", "A", "B", "C")])
+            vectors = outputs["F"], outputs["A"], outputs["B"], outputs["C"]
+            for v in vectors:
+                if type(v) is list and str in map(type, v):
+                    entry = next(x for x in v if type(x) is str)
+                    raise ValueError(f"malformed measurement JSON: output entry {entry!r} is a string, not a number")
+            return cls(intensity, *vectors)
         except KeyError as exc:
             raise ValueError(f"malformed measurement JSON: missing {exc}") from exc
         # a non-numeric entry, an integer past the float range, or nesting past the recursion limit
         except (TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed measurement JSON: {exc}") from exc
+
+
+def _stokes(v) -> tuple:
+    return tuple(_checked(v, float, (4,), "Stokes vector").tolist())
 
 
 def _probes(intensity: float) -> list:
@@ -134,7 +147,11 @@ def simulate_measurements(m, intensity: float, noise: NoiseSpec | None = None) -
 
 def _mueller_rows(ms: MeasurementSet) -> list:
     i = ms.intensity
-    return [[f / i, (a - f) / i, (b - f) / i, (c - f) / i] for f, a, b, c in zip(*ms.stokes)]
+    (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = ms.stokes
+    return [[f0 / i, (a0 - f0) / i, (b0 - f0) / i, (c0 - f0) / i],
+            [f1 / i, (a1 - f1) / i, (b1 - f1) / i, (c1 - f1) / i],
+            [f2 / i, (a2 - f2) / i, (b2 - f2) / i, (c2 - f2) / i],
+            [f3 / i, (a3 - f3) / i, (b3 - f3) / i, (c3 - f3) / i]]
 
 
 def reconstruct_mueller(ms: MeasurementSet):
@@ -166,9 +183,10 @@ class LorentzResiduals(_Value):
 def _residuals(ms: MeasurementSet) -> tuple[list, float]:
     """The residuals r0..r3 as a list of floats, and max |r| / I^2."""
     i2 = ms.intensity ** 2
-    r = [s0 * s0 - s1 * s1 - s2 * s2 - s3 * s3 for s0, s1, s2, s3 in ms.stokes]
-    r[0] -= i2
-    return r, max(map(abs, r)) / i2
+    (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = ms.stokes
+    r0, r1 = f0 * f0 - f1 * f1 - f2 * f2 - f3 * f3 - i2, a0 * a0 - a1 * a1 - a2 * a2 - a3 * a3
+    r2, r3 = b0 * b0 - b1 * b1 - b2 * b2 - b3 * b3, c0 * c0 - c1 * c1 - c2 * c2 - c3 * c3
+    return [r0, r1, r2, r3], max(abs(r0), abs(r1), abs(r2), abs(r3)) / i2
 
 
 def lorentz_residuals(ms: MeasurementSet) -> LorentzResiduals:

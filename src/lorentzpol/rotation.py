@@ -39,10 +39,11 @@ def rotation_from_measurements(ms: MeasurementSet, tol: float = 1e-9):
 
 def _quaternion(rows: list, ortho_tol: float = 1e-6, trace_eps: float = 1e-8) -> list:
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
-    c0, c1, c2 = zip(*rows)
-    # (R^T R - 1)[i, j] for j >= i, and det R along the first row, on Python floats
-    ortho_dev = max([abs(a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - g) for a, b, g in (
-        (c0, c0, 1.0), (c1, c1, 1.0), (c2, c2, 1.0), (c0, c1, 0.0), (c0, c2, 0.0), (c1, c2, 0.0))])
+    # |(R^T R - 1)[i, j]| for j >= i, the diagonal first, and det R along the first row
+    ortho_dev = max(
+        abs(r00 * r00 + r10 * r10 + r20 * r20 - 1.0), abs(r01 * r01 + r11 * r11 + r21 * r21 - 1.0),
+        abs(r02 * r02 + r12 * r12 + r22 * r22 - 1.0), abs(r00 * r01 + r10 * r11 + r20 * r21),
+        abs(r00 * r02 + r10 * r12 + r20 * r22), abs(r01 * r02 + r11 * r12 + r21 * r22))
     det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
     if not (ortho_dev <= ortho_tol and abs(det - 1.0) <= ortho_tol):
         raise NotRotation(

@@ -257,6 +257,10 @@ MALFORMED_INPUTS = {
     "dict_in_vector": '{"intensity": 1, "outputs": {"F": [1, 0, 0, {}], "A": [1, 1, 0, 0],'
                       ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',
     "deep_nesting": "[" * 100000 + "]" * 100000,
+    "string_intensity": '{"intensity": "1", "outputs": {"F": [1, 0, 0, 0], "A": [1, 1, 0, 0],'
+                        ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',
+    "string_entry": '{"intensity": 1, "outputs": {"F": ["1", "0", "0", "0"], "A": [1, 1, 0, 0],'
+                    ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',
 }
 
 

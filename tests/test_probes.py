@@ -242,10 +242,13 @@ HUGE_INT = "1" + "0" * 400  # past the float range: float() raises OverflowError
 @pytest.mark.parametrize("intensity, f", [
     ("1", '{"a": 1}'), ("1", "[1, 0, 0, {}]"), ("[1]", "[1, 0, 0, 0]"),
     (HUGE_INT, "[1, 0, 0, 0]"), ("1", f"[{HUGE_INT}, 0, 0, 0]"),
-], ids=["dict_vector", "dict_entry", "list_intensity", "huge_intensity", "huge_entry"])
+    ('"1"', "[1, 0, 0, 0]"), ("1", '[1, "0", 0, 0]'),
+], ids=["dict_vector", "dict_entry", "list_intensity", "huge_intensity", "huge_entry",
+        "string_intensity", "string_entry"])
 def test_json_rejects_non_numeric_entries(intensity, f):
-    # the TypeError or OverflowError of such an entry becomes the ValueError of
-    # every malformed file, and its message does not call the entry missing
+    # the TypeError or OverflowError of such an entry, or a string that float() would
+    # read, becomes the ValueError of every malformed file, and its message does not
+    # call the entry missing
     text = (f'{{"intensity": {intensity}, "outputs": {{"F": {f}, "A": [1, 1, 0, 0],'
             f' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}}}')
     with pytest.raises(ValueError, match="^malformed measurement JSON: ") as info:
