@@ -57,8 +57,9 @@ def _norm2(n) -> float:
 
 
 def _max_deviation(a, b) -> float:
-    """max |a[i][j] - b[i][j]| over two 4x4 matrices, each given as four lists of floats, row by row."""
-    return max(map(abs, map(operator.sub, a[0] + a[1] + a[2] + a[3], b[0] + b[1] + b[2] + b[3])))
+    """max |a[4*i + j] - b[i][j]| over a 4x4 matrix given as its 16 entries, row by row, and
+    one given as four lists of floats."""
+    return max(map(abs, map(operator.sub, a, b[0] + b[1] + b[2] + b[3])))
 
 
 def _square(v) -> complex:
@@ -121,10 +122,13 @@ class _Value:
 
 
 def _vector(v) -> tuple | None:
-    """v as four floats when it is a list or tuple of four numbers, else None."""
+    """v as four floats when it is a list or tuple of four numbers, else None.
+
+    copysign(x, x) is float(x), except that it refuses the strings and bytes that float() reads.
+    """
     if type(v) in (list, tuple) and len(v) == 4:
         try:
-            return tuple(map(float, v))
+            return tuple(map(math.copysign, v, v))
         except (TypeError, ValueError):
             pass
     return None
@@ -221,10 +225,11 @@ def spinor_norm(k) -> complex:
     return k0 * k0 + k1 * k1 + k2 * k2 + k3 * k3
 
 
-def _lorentz_rows(k, norm_tol: float = 1e-9, real_tol: float = 1e-9) -> list:
+def _lorentz_entries(k) -> list:
+    """The 16 entries of lorentz_from_k(k), row by row, as floats."""
     k0, k1, k2, k3 = k
     norm = k0 * k0 + k1 * k1 + k2 * k2 + k3 * k3
-    if abs(norm - 1.0) >= norm_tol:
+    if abs(norm - 1.0) >= 1e-9:
         raise NormViolation(f"k0^2 + kvec.kvec = {norm!r}, expected 1")
     c0, c1, c2, c3 = k0.conjugate(), k1.conjugate(), k2.conjugate(), k3.conjugate()
     a, b = k0 * c0, k1 * c1 + k2 * c2 + k3 * c3
@@ -241,15 +246,12 @@ def _lorentz_rows(k, norm_tol: float = 1e-9, real_tol: float = 1e-9) -> list:
     )
     # a NaN anywhere in k reaches L[0,0], and max() keeps a NaN that comes first
     imag_max = max([abs(z.imag) for z in out])
-    if not imag_max <= real_tol:
-        raise NonRealResult(
-            f"matrix has imaginary residue {imag_max:.3e} (tolerance {real_tol:.1e})"
-        )
-    real = [z.real for z in out]
-    return [real[0:4], real[4:8], real[8:12], real[12:16]]
+    if not imag_max <= 1e-9:
+        raise NonRealResult(f"matrix has imaginary residue {imag_max:.3e} (tolerance 1.0e-09)")
+    return [z.real for z in out]
 
 
-def lorentz_from_k(k, norm_tol: float = 1e-9, real_tol: float = 1e-9):
+def lorentz_from_k(k):
     """Mueller matrix of the Lorentz transformation with spinor parameter k.
 
     The matrix is quadratic in (k, conj k):
@@ -262,13 +264,13 @@ def lorentz_from_k(k, norm_tol: float = 1e-9, real_tol: float = 1e-9):
 
     k and -k give the same matrix.  The result preserves the Minkowski form
     (L^T g L = g), has determinant +1 and L[0,0] >= 1.  The entries are Python
-    complex scalars, asserted real; an imaginary residue above real_tol (or
-    NaN) means the input was not a valid parameter.
+    complex scalars, asserted real; an imaginary residue above 1e-9 (or NaN)
+    means the input was not a valid parameter.
 
-    Raises NormViolation unless |k0^2 + kvec.kvec - 1| < norm_tol, and
+    Raises NormViolation unless |k0^2 + kvec.kvec - 1| < 1e-9, and
     NonRealResult if the imaginary residue survives.
     """
-    return _array(_lorentz_rows(_checked(k, complex, (4,), "spinor parameter").tolist(), norm_tol, real_tol))
+    return _array(_lorentz_entries(_checked(k, complex, (4,), "spinor parameter").tolist())).reshape(4, 4)
 
 
 def _k_from_q(q) -> list:
@@ -332,8 +334,10 @@ def is_lorentzian(m, tol: float = 1e-9) -> MuellerClass:
 
 
 def _classify(rows: list, tol: float) -> MuellerClass:
-    """is_lorentzian on the rows of a 4x4 matrix: four lists, or four tuples, of four floats."""
-    _check_tolerance(tol)
+    """is_lorentzian on the rows of a 4x4 matrix: four lists, or four tuples, of four floats.
+
+    tol is not checked here: its callers, is_lorentzian and the CLI's --tol, have checked it.
+    """
     (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = rows
     scale = max(abs(m00), abs(m01), abs(m02), abs(m03), abs(m10), abs(m11), abs(m12), abs(m13),
                 abs(m20), abs(m21), abs(m22), abs(m23), abs(m30), abs(m31), abs(m32), abs(m33))

@@ -30,7 +30,7 @@ import re
 import sys
 
 from . import jsonio
-from .algebra import (MuellerClass, _boost_element, _check_tolerance, _k_from_q, _lorentz_rows, _max_deviation,
+from .algebra import (MuellerClass, _boost_element, _check_tolerance, _k_from_q, _lorentz_entries, _max_deviation,
                       _norm2, _rotation_element)
 from .errors import LorentzpolError
 from .probes import MeasurementSet, NoiseSpec, _simulate
@@ -77,16 +77,16 @@ def build_element(args) -> list:
     if kind == "quaternion":
         return embed_rotation(quaternion_to_rotation(args.quaternion, norm_tol=1e-6))
     if kind == "qparam":
-        return _lorentz_rows(_k_from_q(args.qparam))
-    tokens = args.matrix
-    if tokens == ["identity"]:
-        return [[float(i == j) for j in range(4)] for i in range(4)]
-    if len(tokens) != 16:
-        raise ValueError(f"--matrix needs 'identity' or 16 numbers, got {len(tokens)}")
-    try:
-        values = [float(t) for t in tokens]
-    except ValueError as exc:
-        raise ValueError(f"bad matrix entry: {exc}") from exc
+        values = _lorentz_entries(_k_from_q(args.qparam))
+    elif args.matrix == ["identity"]:
+        values = [float(i == j) for i in range(4) for j in range(4)]
+    elif len(args.matrix) != 16:
+        raise ValueError(f"--matrix needs 'identity' or 16 numbers, got {len(args.matrix)}")
+    else:
+        try:
+            values = [float(t) for t in args.matrix]
+        except ValueError as exc:
+            raise ValueError(f"bad matrix entry: {exc}") from exc
     return [values[i:i + 4] for i in range(0, 16, 4)]
 
 
@@ -171,7 +171,7 @@ def _rotation_numbers(ms: MeasurementSet, rows: list, r: list, tol: float) -> li
     quaternion = recover_quaternion(block, ortho_tol=max(1e-6, tol))
     norm = math.sqrt(_norm2(quaternion))
     rebuilt = embed_rotation(quaternion_to_rotation([x / norm for x in quaternion]))
-    return [*quaternion, _max_deviation(rebuilt, rows), *r]
+    return [*quaternion, _max_deviation(rebuilt[0] + rebuilt[1] + rebuilt[2] + rebuilt[3], rows), *r]
 
 
 def _report(ms: MeasurementSet, model: str, tol: float, rows: list, residuals: tuple[list, float]) -> str:

@@ -5,8 +5,8 @@ byte-stable and round-trip to the same IEEE-754 doubles.  Key order is the
 insertion order of the dicts handed in, which the callers keep fixed.
 
 ``dumps`` tests the types reports are made of (an exact float, a dict, a list
-or tuple of exact floats) before the rest; every path gives ``format_number``'s
-bytes, and a non-finite value raises its ``ValueError``.  numpy types are
+or tuple) before the rest; every path gives ``format_number``'s bytes, and a
+non-finite value raises its ``ValueError``.  numpy types are
 recognised once numpy is imported: before that no numpy object can exist, and
 this module does not import it.
 """
@@ -31,34 +31,15 @@ def format_number(x) -> str:
     return format(x, ".17g")
 
 
-class _RowFormats(dict):  # "[%.17g, ..., %.17g]" by row length, built on first use
-    def __missing__(self, n: int) -> str:
-        self[n] = row = "[" + ", ".join([NUMBER] * n) + "]"
-        return row
-
-
-_ROW = _RowFormats()
-
-
 def dumps(obj) -> str:
     """Serialize dict/list/tuple/str/number/None, and ndarrays as their lists,
-    with fixed float formatting.
-
-    A row of floats is formatted in one step, to the same bytes as the
-    element-wise path.
-    """
-    kind = type(obj)
-    if kind is float:
+    with fixed float formatting."""
+    if type(obj) is float:
         text = NUMBER % obj
         return format_number(obj) if "n" in text else text  # nan or inf: raises
     if isinstance(obj, dict):
         return "{" + ", ".join([f'"{key}": {dumps(value)}' for key, value in obj.items()]) + "}"
     if isinstance(obj, (list, tuple)):
-        if all([type(x) is float for x in obj]):
-            text = _ROW[len(obj)] % tuple(obj)
-            if "n" in text:  # nan or inf; a finite double never prints an "n"
-                format_number(next(x for x in obj if not math.isfinite(x)))  # raises its ValueError
-            return text
         return "[" + ", ".join([dumps(value) for value in obj]) + "]"
     if obj is None:
         return "null"

@@ -35,7 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import _Value, _array, _array_view, _canonical, _check_tolerance, _lorentz_rows, _max_deviation
+from .algebra import _Value, _array, _array_view, _canonical, _lorentz_entries, _max_deviation
 from .errors import DegenerateTrace, LorentzpolError, SingularNormalization
 from .probes import LorentzResiduals, MeasurementSet, _mueller_rows, lorentz_residuals
 
@@ -94,24 +94,23 @@ def _read(ms: MeasurementSet) -> tuple[float, list, list, list]:
     return trace_sum, m, n, q_im
 
 
-def _delta(trace_sum: float, intensity: float, eps: float = 1e-10) -> float:
+def _delta(trace_sum: float, intensity: float) -> float:
     ratio = trace_sum / intensity
-    if ratio <= eps:
+    if ratio <= 1e-10:
         raise DegenerateTrace(
             f"matrix trace {ratio!r} is not positive; cannot extract delta"
         )
     return math.sqrt(ratio) / 2.0
 
 
-def delta_from_trace(ms: MeasurementSet, eps: float = 1e-10) -> float:
+def delta_from_trace(ms: MeasurementSet) -> float:
     """Modulus of the leading spinor component from the matrix trace.
 
     trace = 4*delta^2, so delta = sqrt(trace_sum / I) / 2 with the positive
-    root.  Raises ValueError unless eps is finite and positive, and
-    DegenerateTrace when trace_sum / I <= eps: the rest of the extraction
-    divides by delta.
+    root.  Raises DegenerateTrace when trace_sum / I <= 1e-10: the rest of
+    the extraction divides by delta.
     """
-    return _delta(_read(ms)[0], ms.intensity, _check_tolerance(eps))
+    return _delta(_read(ms)[0], ms.intensity)
 
 
 def mn_from_antisymmetric(ms: MeasurementSet, delta: float) -> tuple:
@@ -173,7 +172,7 @@ def _recover(ms: MeasurementSet, rows: list) -> tuple:
     deviation of the matrix rebuilt from k from rows, the reconstructed matrix."""
     _, delta, mvec, nvec, q = _extract(ms)
     k = _assemble_k(delta, mvec, nvec)
-    return delta, mvec, nvec, k, q, _max_deviation(_lorentz_rows(k), rows)
+    return delta, mvec, nvec, k, q, _max_deviation(_lorentz_entries(k), rows)
 
 
 def recover_parameters(ms: MeasurementSet) -> RecoveryResult:

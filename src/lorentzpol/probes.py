@@ -87,21 +87,21 @@ class MeasurementSet(_Value):
                 raise ValueError(f"malformed measurement JSON: intensity {intensity!r} is a string, not a number")
             intensity = float(intensity)
             outputs = data["outputs"]
-            vectors = outputs["F"], outputs["A"], outputs["B"], outputs["C"]
-            for v in vectors:
-                if type(v) is list and str in map(type, v):
-                    entry = next(x for x in v if type(x) is str)
-                    raise ValueError(f"malformed measurement JSON: output entry {entry!r} is a string, not a number")
-            return cls(intensity, *vectors)
+            return cls(intensity, outputs["F"], outputs["A"], outputs["B"], outputs["C"])
         except KeyError as exc:
             raise ValueError(f"malformed measurement JSON: missing {exc}") from exc
-        # a non-numeric entry, an integer past the float range, or nesting past the recursion limit
+        # a non-numeric or string entry, an integer past the float range, or nesting past the recursion limit
         except (TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed measurement JSON: {exc}") from exc
 
 
 def _stokes(v) -> tuple:
-    return tuple(_checked(v, float, (4,), "Stokes vector").tolist())
+    """v through numpy's conversion, which reads strings as numbers: TypeError for a string entry."""
+    import numpy as np
+    x = np.asarray(v)
+    if x.dtype.kind in "SU" or x.dtype.kind == "O" and any([isinstance(e, (str, bytes)) for e in x.flat]):
+        raise TypeError("Stokes vector entries must be numbers, not strings")
+    return tuple(_checked(x, float, (4,), "Stokes vector").tolist())
 
 
 def _probes(intensity: float) -> list:

@@ -16,7 +16,6 @@ from .probes import MeasurementSet
 
 
 def _rotation_block(ms: MeasurementSet, tol: float) -> list:
-    _check_tolerance(tol)
     i = ms.intensity
     (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = ms.stokes
     dev = max(abs(f0 - i), abs(f1), abs(f2), abs(f3), abs(a0 - i), abs(b0 - i), abs(c0 - i))
@@ -32,12 +31,12 @@ def rotation_from_measurements(ms: MeasurementSet, tol: float = 1e-9):
 
     Raises NotRotationType when the natural probe acquires polarization or
     any probe intensity changes by more than tol relative to I, which
-    signals boost content.
+    signals boost content, and ValueError unless tol is finite and positive.
     """
-    return _array(_rotation_block(ms, tol))
+    return _array(_rotation_block(ms, _check_tolerance(tol)))
 
 
-def _quaternion(rows: list, ortho_tol: float = 1e-6, trace_eps: float = 1e-8) -> list:
+def _quaternion(rows: list, ortho_tol: float = 1e-6) -> list:
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     # |(R^T R - 1)[i, j]| for j >= i, the diagonal first, and det R along the first row
     ortho_dev = max(
@@ -50,7 +49,7 @@ def _quaternion(rows: list, ortho_tol: float = 1e-6, trace_eps: float = 1e-8) ->
             f"not a proper rotation: |R^T R - 1| = {ortho_dev:.3e}, det = {det:.6f}"
         )
     trace1 = r00 + r11 + r22 + 1.0
-    if trace1 <= trace_eps:
+    if trace1 <= 1e-8:
         raise NearPiRotation(
             f"trace + 1 = {trace1:.3e}: extraction singular near pi rotations"
         )
@@ -58,7 +57,7 @@ def _quaternion(rows: list, ortho_tol: float = 1e-6, trace_eps: float = 1e-8) ->
     return [s / 2.0, (r21 - r12) / (2.0 * s), (r02 - r20) / (2.0 * s), (r10 - r01) / (2.0 * s)]
 
 
-def recover_quaternion(r, ortho_tol: float = 1e-6, trace_eps: float = 1e-8):
+def recover_quaternion(r, ortho_tol: float = 1e-6):
     """Unit quaternion (n0 >= 0) of a proper rotation matrix.
 
     The NotRotation gate is the seven conditions for an orthonormal
@@ -72,13 +71,12 @@ def recover_quaternion(r, ortho_tol: float = 1e-6, trace_eps: float = 1e-8):
         2*n0 = sqrt(trace + 1)
         n    = (r[2,1]-r[1,2], r[0,2]-r[2,0], r[1,0]-r[0,1]) / (2*sqrt(trace+1))
 
-    Raises ValueError unless ortho_tol and trace_eps are finite and
-    positive, NotRotation when a triad condition fails, and NearPiRotation
-    when trace + 1 <= trace_eps, where this extraction divides by zero
-    (rotations by pi).
+    Raises ValueError unless ortho_tol is finite and positive, NotRotation
+    when a triad condition fails, and NearPiRotation when trace + 1 <= 1e-8,
+    where this extraction divides by zero (rotations by pi).
     """
     rows = _checked(r, float, (3, 3), "rotation matrix").tolist()
-    return _array(_quaternion(rows, _check_tolerance(ortho_tol), _check_tolerance(trace_eps)))
+    return _array(_quaternion(rows, _check_tolerance(ortho_tol)))
 
 
 def rotation_identity_sum(r) -> float:

@@ -1,0 +1,53 @@
+"""The public surface: every callable in lorentzpol.__all__ with its parameters and defaults.
+
+A new parameter, a changed default or a new public function fails here, so a tolerance or
+any other knob is added only by editing this table.  Exception classes and MuellerClass are
+left out: their signatures are Python's own.
+"""
+
+import enum
+import inspect
+
+import lorentzpol as lp
+
+SIGNATURES = {
+    "boost_mueller": ["axis", "beta"],
+    "canonical_spinor_sign": ["k"],
+    "embed_rotation": ["r"],
+    "is_lorentzian": ["m", "tol=1e-09"],
+    "k_from_q": ["q"],
+    "lorentz_from_k": ["k"],
+    "quaternion_to_rotation": ["n", "norm_tol=1e-09"],
+    "rotation_mueller": ["axis", "theta"],
+    "spinor_norm": ["k"],
+    "RecoveryResult": ["delta", "vectors", "round_trip_max_dev", "residuals"],
+    "RoundTripReport": ["passed", "max_deviation", "tol", "residuals", "error=None"],
+    "delta_from_trace": ["ms"],
+    "mn_from_antisymmetric": ["ms", "delta"],
+    "recover_k": ["ms"],
+    "recover_parameters": ["ms"],
+    "recover_q": ["ms"],
+    "verify_round_trip": ["ms", "tol=1e-09"],
+    "LorentzResiduals": ["r0", "r1", "r2", "r3", "normalized_max"],
+    "MeasurementSet": ["intensity", "f", "a", "b", "c"],
+    "NoiseSpec": ["sigma=0.0", "seed=0"],
+    "lorentz_residuals": ["ms"],
+    "probe_set": ["intensity"],
+    "reconstruct_mueller": ["ms"],
+    "simulate_measurements": ["m", "intensity", "noise=None"],
+    "recover_quaternion": ["r", "ortho_tol=1e-06"],
+    "rotation_from_measurements": ["ms", "tol=1e-09"],
+    "rotation_identity_sum": ["r"],
+}
+
+
+def parameters(obj) -> list:
+    return [p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+            for p in inspect.signature(obj).parameters.values()]
+
+
+def test_public_signatures():
+    public = {name: getattr(lp, name) for name in lp.__all__}
+    got = {name: parameters(obj) for name, obj in public.items()
+           if not (isinstance(obj, type) and issubclass(obj, (Exception, enum.Enum)))}
+    assert got == SIGNATURES

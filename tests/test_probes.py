@@ -108,6 +108,32 @@ def test_measurement_set_rejects_non_finite_intensity():
             lp.MeasurementSet(bad, *[np.ones(4)] * 4)
 
 
+GOOD = ([1, 0, 0, 0.5], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1])
+STRING_SETS = {
+    # float() read the list's "1" and numpy's conversion the <U1 array's, so this set was built
+    "list_and_unicode_array": (["1", "0", "0", "0.5"], GOOD[1], np.array(["1", "0", "1", "0"]), GOOD[3]),
+    "unicode_array": (*GOOD[:2], np.array(["1", "0", "1", "0"]), GOOD[3]),
+    "str_in_tuple": (GOOD[0], (1.0, 1.0, "0", 0.0), *GOOD[2:]),
+    "bytes_in_list": (*GOOD[:2], [1, 0, b"1", 0], GOOD[3]),
+    "bytes_array": (*GOOD[:3], np.array([b"1", b"0", b"0", b"1"])),
+    "str_in_object_array": (*GOOD[:3], np.array([1.0, "0", 0.0, 1.0], dtype=object)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRING_SETS))
+def test_measurement_set_refuses_string_entries(name):
+    with pytest.raises(TypeError, match="must be numbers, not strings"):
+        lp.MeasurementSet(1.0, *STRING_SETS[name])
+
+
+def test_measurement_set_reads_bools_and_numpy_scalars():
+    ms = lp.MeasurementSet(True, [True, False, False, np.float64(-0.0)], (1, 1, 0, 0),
+                           [np.float64(1.0), np.int64(0), np.bool_(True), 0], np.array([1, 0, 0, 1]))
+    assert ms.stokes == ((1.0, 0.0, 0.0, -0.0), (1.0, 1.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 1.0))
+    assert all(type(x) is float for v in ms.stokes for x in v)
+    assert math.copysign(1.0, ms.stokes[0][3]) == -1.0
+
+
 @pytest.mark.parametrize("intensity, ratio, ok", [
     (1e-100, 1e50, True), (1e100, 1e50, True), (1.0, 0.0, True),
     (1e-101, 1.0, False), (1e101, 1.0, False), (1.0, 2e50, False), (1e100, 2e50, False),
