@@ -99,7 +99,7 @@ def _stokes(v) -> tuple:
     """v through numpy's conversion, which reads strings as numbers: TypeError for a string entry."""
     import numpy as np
     x = np.asarray(v)
-    if x.dtype.kind in "SU" or x.dtype.kind == "O" and any([isinstance(e, (str, bytes)) for e in x.flat]):
+    if x.dtype.kind in "OSU" and any([isinstance(e, (str, bytes)) for e in x.flat]):  # np.str_ is a str
         raise TypeError("Stokes vector entries must be numbers, not strings")
     return tuple(_checked(x, float, (4,), "Stokes vector").tolist())
 
