@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-import sys
+import operator
 
 from . import jsonio
 from .algebra import _Value, _array, _array_view, _checked, _matrix, _vector
@@ -45,6 +45,9 @@ class NoiseSpec(_Value):
     def __init__(self, sigma: float = 0.0, seed: int = 0):
         if not (sigma >= 0.0 and math.isfinite(sigma)):
             raise ValueError(f"noise sigma must be finite and >= 0, got {sigma}")
+        seed = operator.index(seed)  # an int or numpy integer; TypeError for a float
+        if seed < 0:  # random.Random seeds with abs(seed): -7 would draw 7's stream
+            raise ValueError("expected non-negative integer")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "seed", seed)
 
@@ -116,31 +119,37 @@ def probe_set(intensity: float) -> list:
     return [_array(p) for p in _probes(intensity)]
 
 
+def _noisy(out: list, u, sigma: float) -> list:
+    """out plus four normals of std sigma: two Box-Muller pairs, each from two uniforms u()."""
+    x0, x1, x2, x3 = out
+    r, t = sigma * math.sqrt(-2.0 * math.log(1.0 - u())), math.tau * u()  # 1 - u() > 0 for log
+    p, w = sigma * math.sqrt(-2.0 * math.log(1.0 - u())), math.tau * u()
+    return [x0 + r * math.cos(t), x1 + r * math.sin(t), x2 + p * math.cos(w), x3 + p * math.sin(w)]
+
+
 def _simulate(rows: list, intensity: float, noise: NoiseSpec | None = None) -> MeasurementSet:
     # m @ p with each sum taken left to right from +0.0, as numpy's matmul rounds it
-    outputs = [[0.0 + a * p0 + b * p1 + c * p2 + d * p3 for a, b, c, d in rows]
-               for p0, p1, p2, p3 in _probes(intensity)]
+    f, a, b, c = [[0.0 + m0 * p0 + m1 * p1 + m2 * p2 + m3 * p3 for m0, m1, m2, m3 in rows]
+                  for p0, p1, p2, p3 in _probes(intensity)]
     if noise is not None and noise.sigma > 0.0:
-        # numpy's PCG64 normal stream fixes the noisy bytes; one (4, 4) draw, one row per output
-        if sys.modules.get("numpy") is None and isinstance(noise.seed, int):
-            from ._pcg64 import normal  # the same stream, without numpy's import cost
-            flat = normal(noise.seed, noise.sigma, 16)
-            draws = [flat[i:i + 4] for i in range(0, 16, 4)]
-        else:  # numpy's own generator is the faster one once numpy is loaded
-            import numpy as np
-            draws = np.random.default_rng(noise.seed).normal(0.0, noise.sigma, (4, 4)).tolist()
-        outputs = [[x + y for x, y in zip(out, row)] for out, row in zip(outputs, draws)]
-    return MeasurementSet(float(intensity), *outputs)
+        import random  # only a noisy simulate draws; CPython keeps random()'s sequence for an int seed
+        # lorentzpol's noise stream: 16 normals from one seeded generator, four per output in F, A, B, C order
+        u, sigma = random.Random(noise.seed).random, noise.sigma
+        f, a, b, c = _noisy(f, u, sigma), _noisy(a, u, sigma), _noisy(b, u, sigma), _noisy(c, u, sigma)
+    return MeasurementSet(float(intensity), f, a, b, c)
 
 
 def simulate_measurements(m, intensity: float, noise: NoiseSpec | None = None) -> MeasurementSet:
     """Send the four probes through the element m.
 
     With noise, each output component receives an independent Gaussian
-    perturbation of std noise.sigma drawn from a generator seeded with
-    noise.seed, so repeated calls are bitwise identical.  Large noise may
-    produce negative output intensities; they are passed through unclamped
-    because the reconstruction is linear and clamping would bias it.
+    perturbation of std noise.sigma.  The 16 draws are Box-Muller pairs
+    (r cos t, r sin t), r = sigma * sqrt(-2 ln(1 - u1)), t = 2 pi u2, on
+    successive uniforms of random.Random(noise.seed).random(), added to F,
+    A, B and C in turn, so repeated calls are bitwise identical, with or
+    without numpy.  Large noise may produce negative output intensities;
+    they are passed through unclamped because the reconstruction is linear
+    and clamping would bias it.
     """
     return _simulate(_matrix(m), intensity, noise)
 

@@ -693,7 +693,6 @@ IMPORT_PROBE = ("import sys; before = set(sys.modules); from lorentzpol.cli impo
                 "code = main(sys.argv[1:]); print(*sorted(set(sys.modules) - before), file=sys.stderr); "
                 "sys.exit(code)")
 HEAVY = {"dataclasses", "inspect", "numpy", "pathlib"}
-LAZY = HEAVY | {"lorentzpol._pcg64"}  # and the noise stream, which only a noisy simulate loads
 
 
 def _import_probe(*argv, watch=HEAVY):
@@ -706,7 +705,7 @@ def _import_probe(*argv, watch=HEAVY):
 
 def test_import_loads_no_numpy():
     # import and build the parser, run no command
-    assert _import_probe("--help", watch=LAZY) == (0, [], set())
+    assert _import_probe("--help") == (0, [], set())
 
 
 @pytest.mark.parametrize("element, model, code", [
@@ -729,7 +728,7 @@ def test_recover_and_classify_load_no_numpy(tmp_path, element, model, code):
         argv = ("classify", str(path))
     else:
         argv = ("recover", str(path), "--model", model)
-    returncode, stderr, added = _import_probe(*argv, watch=LAZY)
+    returncode, stderr, added = _import_probe(*argv)
     assert returncode == code, stderr
     assert added <= ({"pathlib"} if model == "batch" else set())
 
@@ -743,12 +742,12 @@ SIMULATE_SPECS = pytest.mark.parametrize("spec", [
 
 @SIMULATE_SPECS
 def test_noiseless_simulate_loads_no_numpy(spec):
-    assert _import_probe("simulate", *spec, watch=LAZY) == (0, [], set())
+    assert _import_probe("simulate", *spec) == (0, [], set())
 
 
 @SIMULATE_SPECS
 def test_noisy_simulate_loads_no_numpy(spec):
-    # the noise is numpy's PCG64 normal stream, drawn by lorentzpol._pcg64 without numpy
+    # the noise is lorentzpol's own stream, Box-Muller on random.Random(seed).random()
     assert _import_probe("simulate", *spec, "--noise", "1e-3") == (0, [], set())
 
 

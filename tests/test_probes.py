@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -73,15 +74,47 @@ def test_noise_spec_rejects_non_finite_sigma(bad):
         lp.NoiseSpec(sigma=bad)
 
 
+def test_noise_spec_checks_the_seed():
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        lp.NoiseSpec(1e-3, -1)  # random.Random would seed it as 1
+    with pytest.raises(TypeError):
+        lp.NoiseSpec(1e-3, 1.5)
+    assert lp.NoiseSpec(1e-3, np.int64(7)) == lp.NoiseSpec(1e-3, 7)
+    assert type(lp.NoiseSpec(1e-3, np.int64(7)).seed) is int
+
+
+def documented_stream(sigma: float, seed: int) -> list:
+    """16 Box-Muller normals on random.Random(seed).random(), two uniforms per pair."""
+    u = random.Random(seed).random
+    draws = []
+    for _ in range(8):
+        u1, u2 = u(), u()
+        r = sigma * math.sqrt(-2.0 * math.log(1.0 - u1))
+        draws += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    return draws
+
+
 @pytest.mark.parametrize("sigma, seed", [(1e-4, 0), (0.01, 7), (2.5, 2**31 - 1)])
 def test_simulate_noise_is_four_successive_draws(sigma, seed):
-    # the (4, 4) draw gives the stream of four size-4 draws, one per output
+    # the 16 draws of the stream go four to an output, in F, A, B, C order
     m = lp.lorentz_from_k(lp.k_from_q([0.2 + 0.1j, -0.3j, 0.25]))
     ms = lp.simulate_measurements(m, 1.3, lp.NoiseSpec(sigma, seed))
-    rng = np.random.default_rng(seed)
-    expected = [m @ p + rng.normal(0.0, sigma, 4) for p in lp.probe_set(1.3)]
+    draws = documented_stream(sigma, seed)
+    expected = [m @ p + np.array(draws[i:i + 4]) for i, p in zip((0, 4, 8, 12), lp.probe_set(1.3))]
     for got, want in zip((ms.f, ms.a, ms.b, ms.c), expected):
         assert got.tobytes() == want.tobytes()
+
+
+def test_simulate_noise_is_standard_normal():
+    # 2000 seeds x 16 draws through a zero element: the outputs are the draws themselves
+    sigma = 0.5
+    draws = np.array([lp.simulate_measurements(np.zeros((4, 4)), 1.0, lp.NoiseSpec(sigma, seed)).stokes
+                      for seed in range(2000)]).ravel() / sigma
+    assert abs(draws.mean()) < 0.03  # standard error 0.0056
+    assert abs(draws.std() - 1.0) < 0.02  # standard error 0.004
+    assert 0.0015 < np.mean(np.abs(draws) > 3.0) < 0.0040  # 0.0027 expected, standard error 0.0003
+    # successive draws, within a pair and across pairs, are uncorrelated
+    assert abs(np.corrcoef(draws[:-1], draws[1:])[0, 1]) < 0.03
 
 
 def test_measurement_set_validation():
