@@ -22,8 +22,10 @@ sign ambiguity.
 Each construction has a kernel on Python floats and complex numbers (the
 underscored functions, which the CLI calls), and a public wrapper that checks
 its input and returns an ndarray; numpy is imported inside the wrappers only.
-Their results can differ from a numpy evaluation of the same formulas by a few
-eps times the largest term, as plain Python arithmetic rounds them.
+The rebuild from k builds no complex number: its kernel works on the real and
+imaginary parts of k, since the matrix is real.  The results can differ from a
+numpy evaluation of the same formulas by a few eps times the largest term, as
+plain Python arithmetic rounds them.
 """
 
 from __future__ import annotations
@@ -69,8 +71,14 @@ def _square(v) -> complex:
 
 
 def _checked(x, dtype, shape: tuple, what: str):
-    """x as an ndarray of the given dtype, or ValueError unless it has the given shape."""
+    """x as an ndarray of the given dtype, or ValueError unless it has the given shape.
+
+    numpy's conversion reads strings as numbers; here a str or bytes entry is a TypeError.
+    """
     import numpy as np
+    x = np.asarray(x)
+    if x.dtype.kind in "OSU" and any([isinstance(e, (str, bytes)) for e in x.flat]):  # np.str_ is a str
+        raise TypeError(f"{what} entries must be numbers, not strings")
     x = np.asarray(x, dtype=dtype)
     if x.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {x.shape}")
@@ -231,24 +239,39 @@ def _lorentz_entries(k) -> list:
     norm = k0 * k0 + k1 * k1 + k2 * k2 + k3 * k3
     if abs(norm - 1.0) >= 1e-9:
         raise NormViolation(f"k0^2 + kvec.kvec = {norm!r}, expected 1")
-    c0, c1, c2, c3 = k0.conjugate(), k1.conjugate(), k2.conjugate(), k3.conjugate()
-    a, b = k0 * c0, k1 * c1 + k2 * c2 + k3 * c3
+    # Each entry is the real part of a complex expression in k and c = conj(k), taken with the float
+    # operations that complex arithmetic performs, so signed zeros come out as they would.  With
+    # kj = xj + i*yj and mij = xi*yj: Re(ci*kj) = Re(ki*cj) = pij, Re(ki*ci) = Re(ci*ki) = sqi,
+    # Im(ci*kj) = mij - mji, Im(ki*cj) = mji - mij, and Re(1j*(R + i*I)) = 0.0*R - I.  The
+    # imaginary parts themselves are exactly zero whenever the entries are finite.
+    x0, y0, x1, y1, x2, y2, x3, y3 = k0.real, k0.imag, k1.real, k1.imag, k2.real, k2.imag, k3.real, k3.imag
+    sq0, sq1, sq2, sq3 = x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3
+    p01, p02, p03 = x0 * x1 + y0 * y1, x0 * x2 + y0 * y2, x0 * x3 + y0 * y3
+    p12, p13, p23 = x1 * x2 + y1 * y2, x1 * x3 + y1 * y3, x2 * x3 + y2 * y3
+    m01, m10, m02, m20, m03, m30 = x0 * y1, x1 * y0, x0 * y2, x2 * y0, x0 * y3, x3 * y0
+    m12, m21, m13, m31, m23, m32 = x1 * y2, x2 * y1, x1 * y3, x3 * y1, x2 * y3, x3 * y2
+    b = sq1 + sq2 + sq3
     # 2*Im(k0*conj(kj)), i*(kvec x conj(kvec))_j, 2*Re(k0*conj(kl)), 2*Re(ki*conj(kj))
-    s1, s2, s3 = 1j * (c0 * k1 - k0 * c1), 1j * (c0 * k2 - k0 * c2), 1j * (c0 * k3 - k0 * c3)
-    x1, x2, x3 = 1j * (k2 * c3 - k3 * c2), 1j * (k3 * c1 - k1 * c3), 1j * (k1 * c2 - k2 * c1)
-    w1, w2, w3 = k0 * c1 + c0 * k1, k0 * c2 + c0 * k2, k0 * c3 + c0 * k3
-    r12, r13, r23 = k1 * c2 + c1 * k2, k1 * c3 + c1 * k3, k2 * c3 + c2 * k3
-    out = (
-        a + b, s1 + x1, s2 + x2, s3 + x3,
-        s1 - x1, a - b + k1 * c1 + c1 * k1, r12 - w3, r13 + w2,
-        s2 - x2, r12 + w3, a - b + k2 * c2 + c2 * k2, r23 - w1,
-        s3 - x3, r13 - w2, r23 + w1, a - b + k3 * c3 + c3 * k3,
-    )
-    # a NaN anywhere in k reaches L[0,0], and max() keeps a NaN that comes first
-    imag_max = max([abs(z.imag) for z in out])
-    if not imag_max <= 1e-9:
-        raise NonRealResult(f"matrix has imaginary residue {imag_max:.3e} (tolerance 1.0e-09)")
-    return [z.real for z in out]
+    s1 = 0.0 * (p01 - p01) - ((m01 - m10) - (m10 - m01))
+    s2 = 0.0 * (p02 - p02) - ((m02 - m20) - (m20 - m02))
+    s3 = 0.0 * (p03 - p03) - ((m03 - m30) - (m30 - m03))
+    v1 = 0.0 * (p23 - p23) - ((m32 - m23) - (m23 - m32))
+    v2 = 0.0 * (p13 - p13) - ((m13 - m31) - (m31 - m13))
+    v3 = 0.0 * (p12 - p12) - ((m21 - m12) - (m12 - m21))
+    w1, w2, w3 = p01 + p01, p02 + p02, p03 + p03
+    r12, r13, r23 = p12 + p12, p13 + p13, p23 + p23
+    d = sq0 - b
+    out = [
+        sq0 + b, s1 + v1, s2 + v2, s3 + v3,
+        s1 - v1, d + sq1 + sq1, r12 - w3, r13 + w2,
+        s2 - v2, r12 + w3, d + sq2 + sq2, r23 - w1,
+        s3 - v3, r13 - w2, r23 + w1, d + sq3 + sq3,
+    ]
+    # A NaN or inf in k reaches L[0,0] = sum |kj|^2, and no entry or intermediate exceeds 2*L[0,0]
+    # in size, so only a huge or non-finite L[0,0] can come with a non-finite entry
+    if not out[0] < 1e300 and not all(map(math.isfinite, out)):
+        raise NonRealResult("matrix has imaginary residue nan (tolerance 1.0e-09)")
+    return out
 
 
 def lorentz_from_k(k):
@@ -263,12 +286,15 @@ def lorentz_from_k(k):
                   - eps_ijl * 2*Re(k0*conj(kl))
 
     k and -k give the same matrix.  The result preserves the Minkowski form
-    (L^T g L = g), has determinant +1 and L[0,0] >= 1.  The entries are Python
-    complex scalars, asserted real; an imaginary residue above 1e-9 (or NaN)
-    means the input was not a valid parameter.
+    (L^T g L = g), has determinant +1 and L[0,0] >= 1.  Every entry is real
+    for every finite k (L is the SL(2,C) image of k), so each is computed as
+    the real part alone, on the real and imaginary parts of k, with the float
+    operations that complex arithmetic would take.
 
     Raises NormViolation unless |k0^2 + kvec.kvec - 1| < 1e-9, and
-    NonRealResult if the imaginary residue survives.
+    NonRealResult when an entry is not finite: k has a NaN or infinite part
+    that leaves its norm NaN, which the norm check lets through, or k is so
+    large that the products overflow.
     """
     return _array(_lorentz_entries(_checked(k, complex, (4,), "spinor parameter").tolist())).reshape(4, 4)
 

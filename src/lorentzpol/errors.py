@@ -12,7 +12,10 @@ class NormViolation(LorentzpolError):
 
 
 class NonRealResult(LorentzpolError):
-    """A matrix that must come out real has a non-negligible imaginary part; exit 4."""
+    """The rebuild from k has a non-finite entry: k has a NaN or infinite part, or overflows; exit 4.
+
+    Every finite k gives a real matrix, so an imaginary residue shows only as NaN.
+    """
 
 
 class SingularParameter(LorentzpolError):

@@ -31,8 +31,8 @@ INTENSITY_RANGE = (1e-100, 1e100)
 MAX_OUTPUT_RATIO = 1e50
 
 # A measurement set's JSON text in one format: the bytes of jsonio.dumps on its fields.
-_JSON = '{"intensity": %%s, "outputs": {"F": %s, "A": %s, "B": %s, "C": %s}}' % (
-    ("[" + ", ".join([jsonio.NUMBER] * 4) + "]",) * 4)
+_JSON = '{"intensity": %s, "outputs": {"F": %s, "A": %s, "B": %s, "C": %s}}' % (
+    jsonio.NUMBER, *("[" + ", ".join([jsonio.NUMBER] * 4) + "]",) * 4)
 # json's reader, except that the int literal "-0" reads as the -0.0 that %.17g writes that way
 _DECODER = json.JSONDecoder(parse_int=lambda text: -0.0 if text == "-0" else int(text))
 
@@ -55,8 +55,8 @@ class NoiseSpec(_Value):
 class MeasurementSet(_Value):
     """Probe intensity and the four output Stokes vectors F, A, B, C.
 
-    ``stokes`` holds the outputs as four tuples of floats; f, a, b and c are
-    their arrays.
+    ``intensity`` is a float and ``stokes`` holds the outputs as four tuples
+    of floats; f, a, b and c are their arrays.
     """
 
     _fields = ("intensity", "stokes")
@@ -68,6 +68,10 @@ class MeasurementSet(_Value):
         # numpy's conversion only for what is not a list or tuple of four numbers, in F, A, B, C order
         stokes = (_vector(f) or _stokes(f), _vector(a) or _stokes(a), _vector(b) or _stokes(b),
                   _vector(c) or _stokes(c))
+        self._store(float(intensity), stokes)
+
+    def _store(self, intensity: float, stokes: tuple) -> None:
+        """Check the envelope on a float intensity and four tuples of floats, then set the fields."""
         limit = MAX_OUTPUT_RATIO * intensity  # NaN fails every comparison below
         if not (INTENSITY_RANGE[0] <= intensity <= INTENSITY_RANGE[1]
                 and all(map(limit.__ge__, map(abs, stokes[0] + stokes[1] + stokes[2] + stokes[3])))):
@@ -77,8 +81,8 @@ class MeasurementSet(_Value):
         object.__setattr__(self, "stokes", stokes)
 
     def to_json(self) -> str:
-        f, a, b, c = self.stokes  # __init__ keeps every output a finite float
-        return _JSON % (jsonio.dumps(self.intensity), *f, *a, *b, *c)
+        f, a, b, c = self.stokes  # _store keeps the intensity and every output a finite float
+        return _JSON % (self.intensity, *f, *a, *b, *c)
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSet":
@@ -99,18 +103,18 @@ class MeasurementSet(_Value):
 
 
 def _stokes(v) -> tuple:
-    """v through numpy's conversion, which reads strings as numbers: TypeError for a string entry."""
-    import numpy as np
-    x = np.asarray(v)
-    if x.dtype.kind in "OSU" and any([isinstance(e, (str, bytes)) for e in x.flat]):  # np.str_ is a str
-        raise TypeError("Stokes vector entries must be numbers, not strings")
-    return tuple(_checked(x, float, (4,), "Stokes vector").tolist())
+    """v through numpy's conversion, as a tuple of four floats."""
+    return tuple(_checked(v, float, (4,), "Stokes vector").tolist())
+
+
+def _probe_intensity(intensity: float) -> float:
+    if not intensity > 0.0:
+        raise NonPositiveIntensity(f"intensity must be > 0, got {intensity}")
+    return float(intensity)
 
 
 def _probes(intensity: float) -> list:
-    if not intensity > 0.0:
-        raise NonPositiveIntensity(f"intensity must be > 0, got {intensity}")
-    i = float(intensity)
+    i = _probe_intensity(intensity)
     return [(i, 0.0, 0.0, 0.0), (i, i, 0.0, 0.0), (i, 0.0, i, 0.0), (i, 0.0, 0.0, i)]
 
 
@@ -119,24 +123,33 @@ def probe_set(intensity: float) -> list:
     return [_array(p) for p in _probes(intensity)]
 
 
-def _noisy(out: list, u, sigma: float) -> list:
+def _noisy(out: tuple, u, sigma: float) -> tuple:
     """out plus four normals of std sigma: two Box-Muller pairs, each from two uniforms u()."""
     x0, x1, x2, x3 = out
     r, t = sigma * math.sqrt(-2.0 * math.log(1.0 - u())), math.tau * u()  # 1 - u() > 0 for log
     p, w = sigma * math.sqrt(-2.0 * math.log(1.0 - u())), math.tau * u()
-    return [x0 + r * math.cos(t), x1 + r * math.sin(t), x2 + p * math.cos(w), x3 + p * math.sin(w)]
+    return x0 + r * math.cos(t), x1 + r * math.sin(t), x2 + p * math.cos(w), x3 + p * math.sin(w)
 
 
 def _simulate(rows: list, intensity: float, noise: NoiseSpec | None = None) -> MeasurementSet:
-    # m @ p with each sum taken left to right from +0.0, as numpy's matmul rounds it
-    f, a, b, c = [[0.0 + m0 * p0 + m1 * p1 + m2 * p2 + m3 * p3 for m0, m1, m2, m3 in rows]
-                  for p0, p1, p2, p3 in _probes(intensity)]
+    i = _probe_intensity(intensity)
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = rows
+    # m @ p for the probes (i, 0, 0, 0), (i, i, 0, 0), (i, 0, i, 0), (i, 0, 0, i): F = 0.0 + m[:, 0]*i,
+    # and A, B, C add m[:, j]*i to F.  These are the floats of numpy's matmul, which sums all four
+    # terms left to right from +0.0: a term m*0.0 adds a zero, which changes neither a nonzero sum
+    # nor a +0.0 one.  A non-finite entry gives a non-finite output either way, refused by _store.
+    f = f0, f1, f2, f3 = 0.0 + m00 * i, 0.0 + m10 * i, 0.0 + m20 * i, 0.0 + m30 * i
+    a = f0 + m01 * i, f1 + m11 * i, f2 + m21 * i, f3 + m31 * i
+    b = f0 + m02 * i, f1 + m12 * i, f2 + m22 * i, f3 + m32 * i
+    c = f0 + m03 * i, f1 + m13 * i, f2 + m23 * i, f3 + m33 * i
     if noise is not None and noise.sigma > 0.0:
         import random  # only a noisy simulate draws; CPython keeps random()'s sequence for an int seed
         # lorentzpol's noise stream: 16 normals from one seeded generator, four per output in F, A, B, C order
         u, sigma = random.Random(noise.seed).random, noise.sigma
         f, a, b, c = _noisy(f, u, sigma), _noisy(a, u, sigma), _noisy(b, u, sigma), _noisy(c, u, sigma)
-    return MeasurementSet(float(intensity), f, a, b, c)
+    ms = MeasurementSet.__new__(MeasurementSet)
+    ms._store(i, (f, a, b, c))  # the outputs are floats already: no conversion
+    return ms
 
 
 def simulate_measurements(m, intensity: float, noise: NoiseSpec | None = None) -> MeasurementSet:

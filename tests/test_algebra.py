@@ -245,3 +245,25 @@ def test_is_lorentzian_classes():
 def test_is_lorentzian_rejects_non_finite_tolerance(tol):
     with pytest.raises(ValueError, match="finite and positive"):
         lp.is_lorentzian(BOOST_LN2, tol=tol)
+
+
+STRING_ROWS = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lp.is_lorentzian(STRING_ROWS),  # was ROTATION
+    lambda: lp.is_lorentzian(np.array(STRING_ROWS)),
+    lambda: lp.simulate_measurements(STRING_ROWS, 1.0),  # wrote the identity's set
+    lambda: lp.simulate_measurements([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                                      [0.0, 0.0, 0.0, b"1"]], 1.0),
+    lambda: lp.embed_rotation([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+    lambda: lp.quaternion_to_rotation(["1", "0", "0", "0"]),
+    lambda: lp.quaternion_to_rotation(np.array([1.0, "0", 0.0, 0.0], dtype=object)),
+    lambda: lp.k_from_q(["0.1", "0.2j", "0"]),
+    lambda: lp.lorentz_from_k(["1", "0", "0", "0"]),
+    lambda: lp.spinor_norm(np.array([b"1", b"0", b"0", b"0"])),
+], ids=["is_lorentzian", "is_lorentzian_array", "simulate", "simulate_bytes", "embed_rotation",
+        "quaternion_to_rotation", "quaternion_object_array", "k_from_q", "lorentz_from_k", "spinor_norm_bytes"])
+def test_matrix_and_parameter_inputs_refuse_strings(call):
+    with pytest.raises(TypeError, match="entries must be numbers, not strings"):
+        call()

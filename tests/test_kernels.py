@@ -1,15 +1,17 @@
-"""The recover chain's straight-line float kernels against their comprehension forms.
+"""The straight-line float kernels against their comprehension and complex forms.
 
 Each reference below is the kernel as it was written with zip, generator
-expressions and nested comprehensions.  The kernels now unpack their inputs
-into local floats and spell every sum out, keeping each sum's operand order
-and each max's element order, so results must agree bit for bit (signed zeros
-and NaNs included, compared through struct) and errors must agree in class
-and message.
+expressions and nested comprehensions, or, for the rebuild from k, in complex
+arithmetic.  The kernels now unpack their inputs into local floats and spell
+every sum out, keeping each sum's operand order and each max's element order
+(the rebuild takes the float operations of the complex products), so results
+must agree bit for bit (signed zeros and NaNs included, compared through
+struct) and errors must agree in class and message.
 """
 
 import cmath
 import math
+import random
 import struct
 
 import numpy as np
@@ -19,9 +21,10 @@ from hypothesis import strategies as st
 
 import lorentzpol as lp
 from lorentzpol import jsonio, lorentz, probes, rotation
-from lorentzpol.algebra import (MuellerClass, _canonical, _check_tolerance, _checked, _classify, _det4, _matrix,
-                                _max_deviation, _vector)
-from lorentzpol.errors import NearPiRotation, NonPositiveIntensity, NotRotation, SingularNormalization
+from lorentzpol.algebra import (MuellerClass, _canonical, _check_tolerance, _checked, _classify, _det4,
+                                _lorentz_entries, _matrix, _max_deviation, _vector)
+from lorentzpol.errors import (NearPiRotation, NonPositiveIntensity, NonRealResult, NormViolation, NotRotation,
+                               SingularNormalization)
 
 from conftest import normalized_spinors, unit_quaternions
 
@@ -118,12 +121,54 @@ def ref_stokes(intensity, f, a, b, c):
     if not intensity > 0.0:
         raise NonPositiveIntensity(f"intensity must be > 0, got {intensity}")
     stokes = tuple(_vector(s) or probes._stokes(s) for s in (f, a, b, c))
+    intensity = float(intensity)
     limit = probes.MAX_OUTPUT_RATIO * intensity
     if not (probes.INTENSITY_RANGE[0] <= intensity <= probes.INTENSITY_RANGE[1]
             and all(map(limit.__ge__, map(abs, stokes[0] + stokes[1] + stokes[2] + stokes[3])))):
         raise ValueError("measurements must be finite and in range: need %g <= intensity <= %g"
                          " and max|output| <= %g * intensity" % (*probes.INTENSITY_RANGE, probes.MAX_OUTPUT_RATIO))
-    return stokes
+    return intensity, stokes
+
+
+def ref_lorentz_complex(k):
+    """The 16 entries of lorentz_from_k(k) as complex numbers, row by row, without the checks."""
+    k0, k1, k2, k3 = k
+    c0, c1, c2, c3 = k0.conjugate(), k1.conjugate(), k2.conjugate(), k3.conjugate()
+    a, b = k0 * c0, k1 * c1 + k2 * c2 + k3 * c3
+    s1, s2, s3 = 1j * (c0 * k1 - k0 * c1), 1j * (c0 * k2 - k0 * c2), 1j * (c0 * k3 - k0 * c3)
+    x1, x2, x3 = 1j * (k2 * c3 - k3 * c2), 1j * (k3 * c1 - k1 * c3), 1j * (k1 * c2 - k2 * c1)
+    w1, w2, w3 = k0 * c1 + c0 * k1, k0 * c2 + c0 * k2, k0 * c3 + c0 * k3
+    r12, r13, r23 = k1 * c2 + c1 * k2, k1 * c3 + c1 * k3, k2 * c3 + c2 * k3
+    return [
+        a + b, s1 + x1, s2 + x2, s3 + x3,
+        s1 - x1, a - b + k1 * c1 + c1 * k1, r12 - w3, r13 + w2,
+        s2 - x2, r12 + w3, a - b + k2 * c2 + c2 * k2, r23 - w1,
+        s3 - x3, r13 - w2, r23 + w1, a - b + k3 * c3 + c3 * k3,
+    ]
+
+
+def ref_lorentz_entries(k):
+    """_lorentz_entries as it was written: the complex entries, their imaginary parts checked, the real parts kept."""
+    k0, k1, k2, k3 = k
+    norm = k0 * k0 + k1 * k1 + k2 * k2 + k3 * k3
+    if abs(norm - 1.0) >= 1e-9:
+        raise NormViolation(f"k0^2 + kvec.kvec = {norm!r}, expected 1")
+    out = ref_lorentz_complex(k)
+    imag_max = max([abs(z.imag) for z in out])
+    if not imag_max <= 1e-9:
+        raise NonRealResult(f"matrix has imaginary residue {imag_max:.3e} (tolerance 1.0e-09)")
+    return [z.real for z in out]
+
+
+def ref_simulate(rows, intensity, noise=None):
+    """_simulate as it was written: each output a comprehension over all 16 terms of m @ p, taken
+    from +0.0, and the outputs converted again by MeasurementSet."""
+    f, a, b, c = [[0.0 + m0 * p0 + m1 * p1 + m2 * p2 + m3 * p3 for m0, m1, m2, m3 in rows]
+                  for p0, p1, p2, p3 in probes._probes(intensity)]
+    if noise is not None and noise.sigma > 0.0:
+        u, sigma = random.Random(noise.seed).random, noise.sigma
+        f, a, b, c = [probes._noisy(x, u, sigma) for x in (f, a, b, c)]
+    return lp.MeasurementSet(float(intensity), f, a, b, c)
 
 
 # --- comparison -------------------------------------------------------------------------------
@@ -328,12 +373,12 @@ def stokes_vectors(draw):
 
 def built(intensity, vectors):
     ms = lp.MeasurementSet(intensity, *vectors)
-    return ms.stokes, ms.to_json()
+    return ms.intensity, ms.stokes, ms.to_json()
 
 
 def reference_built(intensity, vectors):
-    f, a, b, c = stokes = ref_stokes(intensity, *vectors)
-    return stokes, jsonio.dumps({"intensity": intensity, "outputs": {"F": f, "A": a, "B": b, "C": c}})
+    intensity, (f, a, b, c) = ref_stokes(intensity, *vectors)
+    return intensity, (f, a, b, c), jsonio.dumps({"intensity": intensity, "outputs": {"F": f, "A": a, "B": b, "C": c}})
 
 
 @settings(max_examples=600)
@@ -362,3 +407,101 @@ def test_measurement_set_constructor_paths(vectors, message):
     got = outcome(built, 1.0, vectors)
     assert got == outcome(reference_built, 1.0, vectors)
     assert got[0] == "ok" if message is None else message in got[2]
+
+
+# --- the forward path: the rebuild from k and the probe product ---------------------------------
+
+ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def spinors(draw):
+    """k as four complex numbers: a normalized general k, a real k (a rotation), a boost's k with
+    imaginary kvec, or any parts; each zero part of either sign, and a few parts put to SPECIALS."""
+    kind = draw(st.sampled_from(["general", "rotation", "boost", "any"]))
+    if kind == "general":
+        parts = [x for z in draw(normalized_spinors()).tolist() for x in (z.real, z.imag)]
+    elif kind == "rotation":
+        parts = [x for n in draw(unit_quaternions()).tolist() for x in (n, draw(ZEROS))]
+    elif kind == "boost":  # k = (cosh(b/2), -i sinh(b/2) e) for the boost of rapidity b along e
+        half, e = draw(st.floats(-3.0, 3.0)) / 2.0, draw(unit_quaternions())[1:]
+        norm = math.sqrt(sum(e * e))
+        e = e / norm if norm > 0.1 else np.array([0.0, 0.0, 1.0])
+        parts = [math.cosh(half), draw(ZEROS)] + [x for ej in e.tolist() for x in (draw(ZEROS), -math.sinh(half) * ej)]
+    else:
+        parts = draw(st.lists(st.one_of(st.floats(-2.0, 2.0), ZEROS), min_size=8, max_size=8))
+    parts = [draw(ZEROS) if x == 0.0 else x for x in parts]
+    if draw(st.booleans()):
+        parts = draw(with_specials(parts))
+    return [complex(parts[i], parts[i + 1]) for i in range(0, 8, 2)]
+
+
+def expected_entries(k):
+    """The reference's outcome, except that an entry that is not finite, returned by the reference
+    or reported as an imaginary residue of any size, raises NonRealResult with a NaN residue."""
+    try:
+        out = ref_lorentz_entries(k)
+    except NonRealResult:
+        out = [math.nan]
+    except Exception as exc:  # the class and message are what is compared
+        return "raise", type(exc), str(exc)
+    if not all(map(math.isfinite, out)):
+        return "raise", NonRealResult, "matrix has imaginary residue nan (tolerance 1.0e-09)"
+    return "ok", bits(out)
+
+
+@settings(max_examples=1500)
+@given(spinors())
+def test_lorentz_entries_match_the_complex_form(k):
+    assert outcome(_lorentz_entries, k) == expected_entries(k)
+
+
+@pytest.mark.parametrize("k", [
+    [1.0, 0.0, 0.0, complex(math.nan, 0.0)],
+    [1.0, 0.0, 0.0, complex(0.0, math.nan)],
+    [complex(math.inf, 0.0), complex(0.0, math.inf), 1.0, 0.0],       # norm inf - inf: NaN
+    [complex(1e200, 1e-200), complex(1e-200, 1e200), 0.0, 0.0],        # the complex form returned inf and NaN
+    [complex(1e154, 0.0), complex(0.0, 1e154), 1.0, 0.0],              # finite k: L[0,0] overflows
+    [complex(9e153, 0.0), complex(0.0, 9e153), 1.0, 0.0],              # finite and huge, normalized
+    [complex(1e150, 0.0), complex(0.0, 1e150), 1.0, 0.0],
+], ids=["nan_real", "nan_imag", "inf", "returned_non_finite", "overflow", "huge", "large"])
+def test_lorentz_entries_at_non_finite_and_huge_k(k):
+    k = [complex(z) for z in k]
+    assert outcome(_lorentz_entries, k) == expected_entries(k)
+
+
+@settings(max_examples=800)
+@given(st.one_of(spinors(), st.lists(st.builds(complex, st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)),
+                                     min_size=4, max_size=4)))
+def test_lorentz_entries_have_exactly_zero_imaginary_parts_for_finite_k(k):
+    if all([math.isfinite(x) and abs(x) <= 1e150 for z in k for x in (z.real, z.imag)]):
+        assert [z.imag for z in ref_lorentz_complex(k)] == [0.0] * 16
+
+
+@st.composite
+def probe_rows(draw):
+    """4x4 rows with specials, or rows of signed zeros, subnormals, +-1 and inf."""
+    if draw(st.booleans()):
+        return draw(matrices4())
+    flat = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e60, math.inf]),
+                         min_size=16, max_size=16))
+    return [flat[i:i + 4] for i in range(0, 16, 4)]
+
+
+SIMULATE_INTENSITIES = st.one_of(
+    st.sampled_from([1.0, 0.5, 3.0, 1e-100, 1e100, 5e-324, 0.0, -0.0, -1.0, math.nan, math.inf, True]),
+    st.floats(1e-3, 1e3), st.integers(1, 10**30),
+)
+
+
+def simulated(simulate, rows, intensity, noise):
+    ms = simulate(rows, intensity, noise)
+    return ms.intensity, ms.stokes, ms.to_json()
+
+
+@settings(max_examples=1000)
+@given(probe_rows(), SIMULATE_INTENSITIES,
+       st.one_of(st.none(), st.builds(lp.NoiseSpec, st.sampled_from([0.0, 1e-6, 0.5]), st.integers(0, 2**32))))
+def test_simulate_matches_the_comprehension_form(rows, intensity, noise):
+    assert outcome(simulated, probes._simulate, rows, intensity, noise) == \
+        outcome(simulated, ref_simulate, rows, intensity, noise)

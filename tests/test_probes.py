@@ -167,6 +167,23 @@ def test_measurement_set_reads_bools_and_numpy_scalars():
     assert math.copysign(1.0, ms.stokes[0][3]) == -1.0
 
 
+@pytest.mark.parametrize("intensity, text", [
+    (True, '"intensity": 1,'), (10**20, '"intensity": 1e+20,'), (np.float32(0.5), '"intensity": 0.5,'),
+    (np.float64(0.1), '"intensity": 0.10000000000000001,'),
+])
+def test_measurement_set_stores_the_intensity_as_a_float(intensity, text):
+    ms = lp.MeasurementSet(intensity, *GOOD)
+    assert type(ms.intensity) is float and ms.intensity == float(intensity)
+    assert text in ms.to_json()
+    assert all(type(x) is float for x in lp.lorentz_residuals(ms).values())
+
+
+def test_measurement_set_envelope_of_a_float32_intensity():
+    # 1e50 * float32(0.1) overflowed to inf and so let any output through; as a float the limit is 1e49
+    with pytest.raises(ValueError, match="must be finite and in range"):
+        lp.MeasurementSet(np.float32(0.1), [1e200, 0, 0, 0], *GOOD[1:])
+
+
 @pytest.mark.parametrize("intensity, ratio, ok", [
     (1e-100, 1e50, True), (1e100, 1e50, True), (1.0, 0.0, True),
     (1e-101, 1.0, False), (1e101, 1.0, False), (1.0, 2e50, False), (1e100, 2e50, False),
@@ -239,7 +256,7 @@ def test_json_round_trip_and_field_order():
     assert back.stokes == ms.stokes
 
 
-# intensities of every type MeasurementSet keeps: float, an int past 2**53, a bool, np.float64
+# intensities of every type MeasurementSet reads, and keeps as a float: float, an int past 2**53, a bool, np.float64
 INTENSITIES = st.one_of(
     st.floats(1e-100, 1e100), st.integers(2**53 + 1, 10**100), st.just(True),
     st.floats(1e-100, 1e100).map(np.float64),
@@ -261,12 +278,11 @@ def test_to_json_gives_the_bytes_of_dumps(data):
     ms = lp.MeasurementSet(intensity, *[flat[i:i + 4] for i in range(0, 16, 4)])
     f, a, b, c = ms.stokes
     text = ms.to_json()
-    assert text == jsonio.dumps({"intensity": intensity, "outputs": {"F": f, "A": a, "B": b, "C": c}})
+    assert type(ms.intensity) is float and ms.intensity == float(intensity)
+    assert text == jsonio.dumps({"intensity": float(intensity), "outputs": {"F": f, "A": a, "B": b, "C": c}})
     back = lp.MeasurementSet.from_json(text)
-    assert back.intensity == float(intensity) and back.stokes == ms.stokes
-    # a -0.0 output is written "-0" and read back as -0.0; an int intensity reads back as a float
-    if isinstance(intensity, float):
-        assert back.to_json() == text
+    assert back.intensity == ms.intensity and back.stokes == ms.stokes
+    assert back.to_json() == text  # a -0.0 output is written "-0" and read back as -0.0
 
 
 def test_from_json_reads_minus_zero_as_negative_zero():
