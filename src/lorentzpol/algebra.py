@@ -239,25 +239,18 @@ def _lorentz_entries(k) -> list:
     norm = k0 * k0 + k1 * k1 + k2 * k2 + k3 * k3
     if abs(norm - 1.0) >= 1e-9:
         raise NormViolation(f"k0^2 + kvec.kvec = {norm!r}, expected 1")
-    # Each entry is the real part of a complex expression in k and c = conj(k), taken with the float
-    # operations that complex arithmetic performs, so signed zeros come out as they would.  With
-    # kj = xj + i*yj and mij = xi*yj: Re(ci*kj) = Re(ki*cj) = pij, Re(ki*ci) = Re(ci*ki) = sqi,
-    # Im(ci*kj) = mij - mji, Im(ki*cj) = mji - mij, and Re(1j*(R + i*I)) = 0.0*R - I.  The
-    # imaginary parts themselves are exactly zero whenever the entries are finite.
+    # Each entry is the real part of a complex expression in k and c = conj(k), rounded as complex
+    # arithmetic rounds it, so signed zeros come out as they would: with kj = xj + i*yj,
+    # Re(ci*kj) = Re(ki*cj) = pij and Re(ki*ci) = sqi.  The imaginary parts are exactly zero for
+    # every finite k, as L is the (real) SL(2,C) image of k.
     x0, y0, x1, y1, x2, y2, x3, y3 = k0.real, k0.imag, k1.real, k1.imag, k2.real, k2.imag, k3.real, k3.imag
     sq0, sq1, sq2, sq3 = x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3
     p01, p02, p03 = x0 * x1 + y0 * y1, x0 * x2 + y0 * y2, x0 * x3 + y0 * y3
     p12, p13, p23 = x1 * x2 + y1 * y2, x1 * x3 + y1 * y3, x2 * x3 + y2 * y3
-    m01, m10, m02, m20, m03, m30 = x0 * y1, x1 * y0, x0 * y2, x2 * y0, x0 * y3, x3 * y0
-    m12, m21, m13, m31, m23, m32 = x1 * y2, x2 * y1, x1 * y3, x3 * y1, x2 * y3, x3 * y2
     b = sq1 + sq2 + sq3
     # 2*Im(k0*conj(kj)), i*(kvec x conj(kvec))_j, 2*Re(k0*conj(kl)), 2*Re(ki*conj(kj))
-    s1 = 0.0 * (p01 - p01) - ((m01 - m10) - (m10 - m01))
-    s2 = 0.0 * (p02 - p02) - ((m02 - m20) - (m20 - m02))
-    s3 = 0.0 * (p03 - p03) - ((m03 - m30) - (m30 - m03))
-    v1 = 0.0 * (p23 - p23) - ((m32 - m23) - (m23 - m32))
-    v2 = 0.0 * (p13 - p13) - ((m13 - m31) - (m31 - m13))
-    v3 = 0.0 * (p12 - p12) - ((m21 - m12) - (m12 - m21))
+    s1, s2, s3 = 0.0 - 2.0 * (x0 * y1 - x1 * y0), 0.0 - 2.0 * (x0 * y2 - x2 * y0), 0.0 - 2.0 * (x0 * y3 - x3 * y0)
+    v1, v2, v3 = 0.0 - 2.0 * (x3 * y2 - x2 * y3), 0.0 - 2.0 * (x1 * y3 - x3 * y1), 0.0 - 2.0 * (x2 * y1 - x1 * y2)
     w1, w2, w3 = p01 + p01, p02 + p02, p03 + p03
     r12, r13, r23 = p12 + p12, p13 + p13, p23 + p23
     d = sq0 - b

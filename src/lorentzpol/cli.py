@@ -130,8 +130,8 @@ class NotLorentzianInput(LorentzpolError):
 
 
 # Each exit-0 report kind in one format, which gives the bytes of jsonio.dumps on its dict:
-# every number slot, the tolerance's included, is jsonio.NUMBER, and a %s slot takes the dumps
-# text of an error message.
+# every number slot is jsonio.NUMBER, and a %s slot takes the dumps text of the tolerance or
+# of an error message.
 def _list(n: int) -> str:
     return "[" + ", ".join([jsonio.NUMBER] * n) + "]"
 
@@ -141,18 +141,12 @@ _LORENTZ = (f'"delta": {jsonio.NUMBER}, "M": {_list(3)}, "N": {_list(3)}, '
             f'"k": {{"re": {_list(4)}, "im": {_list(4)}}}, "q": {{"re": {_list(3)}, "im": {_list(3)}}}, '
             f'"round_trip_max_dev": {jsonio.NUMBER}, "lorentz_residuals": {_list(4)}}}')
 _ROTATION = f'"quaternion": {_list(4)}, "round_trip_max_dev": {jsonio.NUMBER}, "lorentz_residuals": {_list(4)}}}'
-
-
-def _auto(classification: str) -> str:
-    """The head of an auto report; the body of the classification's report follows it."""
-    return f'{{"classification": "{classification}", "tolerance": {jsonio.NUMBER}, '
-
-
-_NOT_LORENTZIAN = (_auto("not-lorentzian") + f'"matrix": {_MATRIX}, "lorentz_residuals": {_list(4)}, '
+_AUTO = '{"classification": "%s", "tolerance": %%s, '  # then the body of the classification's report
+_NOT_LORENTZIAN = (_AUTO % "not-lorentzian" + f'"matrix": {_MATRIX}, "lorentz_residuals": {_list(4)}, '
                    f'"max_normalized_residual": {jsonio.NUMBER}, ')
 RAW_REPORT = f'{{"matrix": {_MATRIX}}}'
-LORENTZ_REPORT, AUTO_LORENTZ_REPORT = "{" + _LORENTZ, _auto("lorentz") + _LORENTZ
-ROTATION_REPORT, AUTO_ROTATION_REPORT = "{" + _ROTATION, _auto("rotation") + _ROTATION
+LORENTZ_REPORT, AUTO_LORENTZ_REPORT = "{" + _LORENTZ, _AUTO % "lorentz" + _LORENTZ
+ROTATION_REPORT, AUTO_ROTATION_REPORT = "{" + _ROTATION, _AUTO % "rotation" + _ROTATION
 NOT_LORENTZIAN_REPORT = _NOT_LORENTZIAN + f'"round_trip_max_dev": {jsonio.NUMBER}}}'
 NOT_LORENTZIAN_ERROR_REPORT = _NOT_LORENTZIAN + '"round_trip_error": %s}'
 
@@ -194,7 +188,7 @@ def _report(ms: MeasurementSet, model: str, tol: float, rows: list, residuals: t
         return _write(LORENTZ_REPORT, (), _lorentz_numbers(ms, rows, r))
     # auto
     classification = is_lorentzian(rows, tol)
-    head = (tol,)  # finite: the parser and _check_tolerance refuse any other
+    head = (jsonio.dumps(tol),)
     if classification is MuellerClass.LORENTZ:
         return _write(AUTO_LORENTZ_REPORT, head, _lorentz_numbers(ms, rows, r))
     if classification is MuellerClass.ROTATION:
