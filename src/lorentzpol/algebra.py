@@ -20,8 +20,9 @@ so q is finite whenever k0 != 0 and carries the same information minus the
 sign ambiguity.
 
 Each construction has a kernel on Python floats and complex numbers (the
-underscored functions, which the CLI calls), and a public wrapper that checks
-its input and returns an ndarray; numpy is imported inside the wrappers only.
+underscored functions, which the CLI calls), and a public wrapper that reads
+its input through _numbers, without numpy, and returns the ndarray that _array
+builds, the one place numpy is imported.
 The rebuild from k builds no complex number: its kernel works on the real and
 imaginary parts of k, since the matrix is real.  The results can differ from a
 numpy evaluation of the same formulas by a few eps times the largest term, as
@@ -53,7 +54,7 @@ def _check_tolerance(tol: float) -> float:
 
 
 def _norm2(n) -> float:
-    """n.n of four floats."""
+    """n.n of four numbers, without conjugation."""
     n0, n1, n2, n3 = n
     return n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3
 
@@ -70,19 +71,55 @@ def _square(v) -> complex:
     return v0 * v0 + v1 * v1 + v2 * v2
 
 
-def _checked(x, dtype, shape: tuple, what: str):
-    """x as an ndarray of the given dtype, or ValueError unless it has the given shape.
+def _number(e, what: str, kind: type = float):
+    """One entry as a float (kind float) or complex number (kind complex) by float(), which keeps signed zeros
+    and refuses None; TypeError for a string (float() reads it) or a complex value where reals belong (float()
+    truncates a numpy one).  An int past the float range reads as +-inf, which no input range admits."""
+    if type(e) is not float and type(e) is not int:
+        import numbers  # not on the CLI's path, whose JSON numbers are all floats
+        if isinstance(e, numbers.Complex) and not isinstance(e, numbers.Real):
+            if kind is complex:
+                return complex(e)
+            raise TypeError(f"{what} entries must be real numbers, not complex")
+        if isinstance(e, (str, bytes, bytearray)):
+            raise TypeError(f"{what} entries must be numbers, not strings")
+    try:
+        x = float(e)
+    except OverflowError:
+        x = math.inf if e > 0 else -math.inf
+    return x if kind is float else complex(x)
 
-    numpy's conversion reads strings as numbers; here a str or bytes entry is a TypeError.
-    """
-    import numpy as np
-    x = np.asarray(x)
-    if x.dtype.kind in "OSU" and any([isinstance(e, (str, bytes)) for e in x.flat]):  # np.str_ is a str
-        raise TypeError(f"{what} entries must be numbers, not strings")
-    x = np.asarray(x, dtype=dtype)
-    if x.shape != shape:
-        raise ValueError(f"{what} must have shape {shape}, got {x.shape}")
-    return x
+
+def _shape(x) -> tuple:
+    """numpy's shape of nested lists and tuples, as far down as they are regular."""
+    if not isinstance(x, (list, tuple)):
+        return ()
+    inner = {_shape(e) for e in x}
+    return (len(x), *inner.pop()) if len(inner) == 1 else (len(x),)
+
+
+def _numbers(x, shape: tuple, what: str, kind: type = float):
+    """x as a tuple of n floats (kind float) or complex numbers (kind complex) for shape (n,), or a list of m
+    rows of them for shape (m, n), by _number's rules; ValueError unless x has that shape.  An ndarray or numpy
+    scalar is read through one tolist(), which gives Python floats (complex numbers) for float64 (complex128)."""
+    if not isinstance(x, (list, tuple)) and hasattr(x, "tolist"):
+        if getattr(x, "dtype", None) == ("float64" if kind is float else "complex128") and x.shape == shape:
+            return tuple(x.tolist()) if len(shape) == 1 else x.tolist()  # Python floats (complex numbers) already
+        x = x.tolist()
+    if len(shape) == 1 and isinstance(x, (list, tuple)) and len(x) == shape[0]:
+        for e in x:
+            if type(e) is not kind:
+                break
+        else:
+            return tuple(x)  # a list of Python floats (complex numbers) as it is
+    got = _shape(x)
+    if got == shape and len(shape) == 1:
+        return tuple([_number(e, what, kind) for e in x])
+    if got == shape:
+        return [_numbers(row, shape[1:], what, kind) for row in x]
+    if not got:  # a scalar that is no number gets its TypeError, as from numpy, not the shape error
+        _number(x, what, kind)
+    raise ValueError(f"{what} must have shape {shape}, got {got}")
 
 
 def _array(x):
@@ -129,25 +166,6 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _vector(v) -> tuple | None:
-    """v as four floats when it is a list or tuple of four numbers, else None.
-
-    copysign(x, x) is float(x), except that it refuses the strings and bytes that float() reads.
-    """
-    if type(v) in (list, tuple) and len(v) == 4:
-        try:
-            return tuple(map(math.copysign, v, v))
-        except (TypeError, ValueError):
-            pass
-    return None
-
-
-def _matrix(m) -> list:
-    """The rows of a 4x4 matrix as float tuples; other input goes through numpy's conversion."""
-    rows = [_vector(r) for r in m] if type(m) in (list, tuple) and len(m) == 4 else [None]
-    return rows if None not in rows else _checked(m, float, (4, 4), "Mueller matrix").tolist()
-
-
 def _rotation_rows(n, norm_tol: float = 1e-9) -> list:
     n0, n1, n2, n3 = n
     norm2 = _norm2(n)
@@ -176,7 +194,7 @@ def quaternion_to_rotation(n, norm_tol: float = 1e-9):
     numpy.ndarray, shape (3, 3)
         Proper rotation matrix (orthogonal, determinant +1).
     """
-    return _array(_rotation_rows(_checked(n, float, (4,), "quaternion").tolist(), norm_tol))
+    return _array(_rotation_rows(_numbers(n, (4,), "quaternion"), norm_tol))
 
 
 def _embed(r) -> list:
@@ -185,7 +203,7 @@ def _embed(r) -> list:
 
 def embed_rotation(r):
     """Mueller matrix of a pure polarization rotation (3x3 block)."""
-    return _array(_embed(_checked(r, float, (3, 3), "rotation block").tolist()))
+    return _array(_embed(_numbers(r, (3, 3), "rotation block")))
 
 
 def _rotation_element(axis: int, theta: float) -> list:
@@ -229,8 +247,7 @@ def boost_mueller(axis: int, beta: float):
 
 def spinor_norm(k) -> complex:
     """Bilinear invariant k0^2 + kvec.kvec; equals 1 for normalized k."""
-    k0, k1, k2, k3 = _checked(k, complex, (4,), "spinor parameter").tolist()
-    return k0 * k0 + k1 * k1 + k2 * k2 + k3 * k3
+    return _norm2(_numbers(k, (4,), "spinor parameter", complex))
 
 
 def _lorentz_entries(k) -> list:
@@ -289,7 +306,7 @@ def lorentz_from_k(k):
     that leaves its norm NaN, which the norm check lets through, or k is so
     large that the products overflow.
     """
-    return _array(_lorentz_entries(_checked(k, complex, (4,), "spinor parameter").tolist())).reshape(4, 4)
+    return _array(_lorentz_entries(_numbers(k, (4,), "spinor parameter", complex))).reshape(4, 4)
 
 
 def _k_from_q(q) -> list:
@@ -307,7 +324,7 @@ def k_from_q(q):
     which pins k0 = 1/sqrt(1 - q.q).  Raises SingularParameter when the
     normalization denominator 1 - q.q vanishes.
     """
-    return _array(_k_from_q(_checked(q, complex, (3,), "vector parameter").tolist()))
+    return _array(_k_from_q(_numbers(q, (3,), "vector parameter", complex)))
 
 
 def _canonical(k: list) -> list:
@@ -326,7 +343,7 @@ def canonical_spinor_sign(k):
     Keeps the sign making Re(k0) > 0; on a tie, the first nonzero entry of
     (Im k0, Re k1, Im k1, Re k2, Im k2, Re k3, Im k3) is made positive.
     """
-    return _array(_canonical(_checked(k, complex, (4,), "spinor parameter").tolist()))
+    return _array(_canonical(_numbers(k, (4,), "spinor parameter", complex)))
 
 
 def _det4(m) -> float:
@@ -345,11 +362,10 @@ def is_lorentzian(m, tol: float = 1e-9) -> MuellerClass:
     LORENTZ when ||M^T g M - g||_max < tol * ||M||_max^2 together with
     det M > 0 and M[0,0] > 0; ROTATION when additionally the first row and
     column equal (1, 0, 0, 0) within tol; NOT_LORENTZIAN otherwise, also for
-    NaN.  All on Python floats, det M in 2x2 minors; nested lists of floats
-    are read without numpy.
+    NaN.  All on Python floats, det M in 2x2 minors; no input goes through numpy.
     """
     _check_tolerance(tol)  # before the matrix is read, so a bad tol is the error reported
-    return _classify(_matrix(m), tol)
+    return _classify(_numbers(m, (4, 4), "Mueller matrix"), tol)
 
 
 def _classify(rows: list, tol: float) -> MuellerClass:

@@ -6,24 +6,21 @@ insertion order of the dicts handed in, which the callers keep fixed.
 
 ``dumps`` tests the types reports are made of (an exact float, a dict, a list
 or tuple) before the rest; every path gives ``format_number``'s bytes, and a
-non-finite value raises its ``ValueError``.  numpy types are
-recognised once numpy is imported: before that no numpy object can exist, and
-this module does not import it.
+non-finite value raises its ``ValueError``.  It takes Python values only; no
+caller hands it a numpy object.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 NUMBER = "%.17g"  # the format of every float written
 
 
 def format_number(x) -> str:
-    np = sys.modules.get("numpy")
-    if isinstance(x, bool) or np is not None and isinstance(x, np.bool_):
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int) or np is not None and isinstance(x, np.integer):
+    if isinstance(x, int):
         return str(int(x))
     x = float(x)
     if not math.isfinite(x):
@@ -32,8 +29,7 @@ def format_number(x) -> str:
 
 
 def dumps(obj) -> str:
-    """Serialize dict/list/tuple/str/number/None, and ndarrays as their lists,
-    with fixed float formatting."""
+    """Serialize dict/list/tuple/str/number/None with fixed float formatting."""
     if type(obj) is float:
         text = NUMBER % obj
         return format_number(obj) if "n" in text else text  # nan or inf: raises
@@ -49,7 +45,4 @@ def dumps(obj) -> str:
             obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         )
         return f'"{escaped}"'
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(obj, np.ndarray):
-        return dumps(obj.tolist())
     return format_number(obj)

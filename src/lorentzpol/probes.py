@@ -22,7 +22,7 @@ import math
 import operator
 
 from . import jsonio
-from .algebra import _Value, _array, _array_view, _checked, _matrix, _vector
+from .algebra import _Value, _array, _array_view, _number, _numbers
 from .errors import NonPositiveIntensity
 
 # Accepted: I in INTENSITY_RANGE, max|output| <= MAX_OUTPUT_RATIO * I.  Then no intermediate of the
@@ -33,8 +33,9 @@ MAX_OUTPUT_RATIO = 1e50
 # A measurement set's JSON text in one format: the bytes of jsonio.dumps on its fields.
 _JSON = '{"intensity": %s, "outputs": {"F": %s, "A": %s, "B": %s, "C": %s}}' % (
     jsonio.NUMBER, *("[" + ", ".join([jsonio.NUMBER] * 4) + "]",) * 4)
-# json's reader, except that the int literal "-0" reads as the -0.0 that %.17g writes that way
-_DECODER = json.JSONDecoder(parse_int=lambda text: -0.0 if text == "-0" else int(text))
+# json's reader, except that an int literal reads as a float: "-0" as the -0.0 that %.17g writes that way, and
+# one past the float range raises OverflowError (a malformed file) instead of reading as inf
+_DECODER = json.JSONDecoder(parse_int=lambda text: -0.0 if text == "-0" else float(int(text)))
 
 
 class NoiseSpec(_Value):
@@ -56,19 +57,17 @@ class MeasurementSet(_Value):
     """Probe intensity and the four output Stokes vectors F, A, B, C.
 
     ``intensity`` is a float and ``stokes`` holds the outputs as four tuples
-    of floats; f, a, b and c are their arrays.
+    of floats; f, a, b and c are their arrays.  Outputs are read as _numbers
+    reads a vector: a string, None or complex entry raises TypeError.
     """
 
     _fields = ("intensity", "stokes")
     f, a, b, c = (_array_view("stokes", i) for i in range(4))
 
     def __init__(self, intensity: float, f, a, b, c):
-        if not intensity > 0.0:
-            raise NonPositiveIntensity(f"intensity must be > 0, got {intensity}")
-        # numpy's conversion only for what is not a list or tuple of four numbers, in F, A, B, C order
-        stokes = (_vector(f) or _stokes(f), _vector(a) or _stokes(a), _vector(b) or _stokes(b),
-                  _vector(c) or _stokes(c))
-        self._store(float(intensity), stokes)
+        i, what = _probe_intensity(intensity), "Stokes vector"  # a bad intensity is the error reported
+        self._store(i, (_numbers(f, (4,), what), _numbers(a, (4,), what),
+                        _numbers(b, (4,), what), _numbers(c, (4,), what)))
 
     def _store(self, intensity: float, stokes: tuple) -> None:
         """Check the envelope on a float intensity and four tuples of floats, then set the fields."""
@@ -89,11 +88,7 @@ class MeasurementSet(_Value):
         """Parse a measurement JSON text; ValueError if it is malformed or out of range."""
         try:
             data = _DECODER.decode(text)
-            intensity = data["intensity"]
-            if type(intensity) is str:  # float() would read it; the format holds numbers only
-                raise ValueError(f"malformed measurement JSON: intensity {intensity!r} is a string, not a number")
-            intensity = float(intensity)
-            outputs = data["outputs"]
+            intensity, outputs = data["intensity"], data["outputs"]
             return cls(intensity, outputs["F"], outputs["A"], outputs["B"], outputs["C"])
         except KeyError as exc:
             raise ValueError(f"malformed measurement JSON: missing {exc}") from exc
@@ -102,15 +97,11 @@ class MeasurementSet(_Value):
             raise ValueError(f"malformed measurement JSON: {exc}") from exc
 
 
-def _stokes(v) -> tuple:
-    """v through numpy's conversion, as a tuple of four floats."""
-    return tuple(_checked(v, float, (4,), "Stokes vector").tolist())
-
-
 def _probe_intensity(intensity: float) -> float:
-    if not intensity > 0.0:
+    i = _number(intensity, "intensity")  # 10**400 reads as inf, which the envelope refuses
+    if not i > 0.0:
         raise NonPositiveIntensity(f"intensity must be > 0, got {intensity}")
-    return float(intensity)
+    return i
 
 
 def _probes(intensity: float) -> list:
@@ -164,7 +155,7 @@ def simulate_measurements(m, intensity: float, noise: NoiseSpec | None = None) -
     they are passed through unclamped because the reconstruction is linear
     and clamping would bias it.
     """
-    return _simulate(_matrix(m), intensity, noise)
+    return _simulate(_numbers(m, (4, 4), "Mueller matrix"), intensity, noise)
 
 
 def _mueller_rows(ms: MeasurementSet) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import _array, _check_tolerance, _checked
+from .algebra import _array, _check_tolerance, _numbers
 from .errors import NearPiRotation, NotRotation, NotRotationType
 from .probes import MeasurementSet
 
@@ -75,8 +75,7 @@ def recover_quaternion(r, ortho_tol: float = 1e-6):
     when a triad condition fails, and NearPiRotation when trace + 1 <= 1e-8,
     where this extraction divides by zero (rotations by pi).
     """
-    rows = _checked(r, float, (3, 3), "rotation matrix").tolist()
-    return _array(_quaternion(rows, _check_tolerance(ortho_tol)))
+    return _array(_quaternion(_numbers(r, (3, 3), "rotation matrix"), _check_tolerance(ortho_tol)))
 
 
 def rotation_identity_sum(r) -> float:
@@ -85,6 +84,6 @@ def rotation_identity_sum(r) -> float:
     (trace+1) plus the squared antisymmetric differences over (trace+1) is
     exactly four times the quaternion norm, hence 4.
     """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = _checked(r, float, (3, 3), "rotation matrix").tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = _numbers(r, (3, 3), "rotation matrix")
     trace1 = r00 + r11 + r22 + 1.0
     return trace1 + ((r21 - r12) ** 2 + (r02 - r20) ** 2 + (r10 - r01) ** 2) / trace1

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -245,6 +248,44 @@ def test_is_lorentzian_classes():
 def test_is_lorentzian_rejects_non_finite_tolerance(tol):
     with pytest.raises(ValueError, match="finite and positive"):
         lp.is_lorentzian(BOOST_LN2, tol=tol)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lp.is_lorentzian(np.eye(4) + 0.5j),  # was ROTATION, with a ComplexWarning
+    lambda: lp.is_lorentzian(np.eye(4).astype(np.complex64)),
+    lambda: lp.simulate_measurements([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, np.complex128(1)]], 1.0),
+    lambda: lp.quaternion_to_rotation([1, 0, 0, 0j]),
+    lambda: lp.embed_rotation(np.eye(3) + 0j),
+    lambda: lp.recover_quaternion(np.eye(3) * (1 + 0j)),
+    lambda: lp.rotation_identity_sum([[1, 0, 0], [0, 1, 0], [0, 0, 1j]]),
+], ids=["is_lorentzian", "is_lorentzian_complex64", "simulate", "quaternion_to_rotation", "embed_rotation",
+        "recover_quaternion", "rotation_identity_sum"])
+def test_real_inputs_refuse_complex_entries(call):
+    with pytest.raises(TypeError, match="entries must be real numbers, not complex"):
+        call()
+
+
+NUMPY_BLOCKED = """import sys
+sys.modules["numpy"] = None  # an import of numpy now fails
+import lorentzpol as lp
+ms = lp.MeasurementSet(1, [1, 0, 0, 0.5], (1.0, 1.0, 0.0, 0.0), [1.0, 0, 1, 0], [True, 0, 0, 1])
+print(ms.stokes)
+rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1.0]]
+print(lp.is_lorentzian(rows).value, lp.is_lorentzian(tuple(map(tuple, rows))).value)
+try:
+    lp.is_lorentzian(rows[:3])
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_inputs_convert_without_numpy():
+    out = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED], capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "((1.0, 0.0, 0.0, 0.5), (1.0, 1.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 1.0))",
+        "rotation rotation",
+        "Mueller matrix must have shape (4, 4), got (3, 4)",
+    ]
 
 
 STRING_ROWS = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]

@@ -6,11 +6,14 @@ arithmetic.  The kernels now unpack their inputs into local floats and spell
 every sum out, keeping each sum's operand order and each max's element order
 (the rebuild takes the float operations of the complex products), so results
 must agree bit for bit (signed zeros and NaNs included, compared through
-struct) and errors must agree in class and message.
+struct) and errors must agree in class and message.  The input converter,
+algebra._numbers, has numpy's conversion, np.asarray(x, dtype).tolist(), as its
+reference, and each input it refuses is listed with its error.
 """
 
 import cmath
 import math
+import numbers
 import random
 import struct
 
@@ -21,8 +24,8 @@ from hypothesis import strategies as st
 
 import lorentzpol as lp
 from lorentzpol import jsonio, lorentz, probes, rotation
-from lorentzpol.algebra import (MuellerClass, _canonical, _check_tolerance, _checked, _classify, _det4,
-                                _lorentz_entries, _matrix, _max_deviation, _vector)
+from lorentzpol.algebra import (MuellerClass, _canonical, _check_tolerance, _classify, _det4, _lorentz_entries,
+                                _max_deviation, _numbers)
 from lorentzpol.errors import (NearPiRotation, NonPositiveIntensity, NonRealResult, NormViolation, NotRotation,
                                SingularNormalization)
 
@@ -116,18 +119,46 @@ def ref_assemble_k(delta, mvec, nvec):
     return _canonical([delta / root] + [z / root for z in v])
 
 
+def ref_real(x):
+    """One number by numpy's float64 conversion; an int past the float range, where numpy overflows, as the
+    +-inf that _numbers reads."""
+    try:
+        return np.asarray(x, dtype=float).tolist()
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def ref_vector(v):
+    """A Stokes vector by numpy's conversion, np.asarray(v, dtype=float).tolist(), after the refusals that
+    numpy does not make, in entry order: a string (which numpy parses) and an entry that is no number, None
+    included (which numpy reads as NaN), with float()'s TypeError."""
+    if isinstance(v, (list, tuple)) and len(v) == 4:
+        for e in v:
+            if isinstance(e, (str, bytes)):
+                raise TypeError("Stokes vector entries must be numbers, not strings")
+            if not isinstance(e, numbers.Number):
+                float(e)
+        v = [ref_real(e) for e in v]
+    elif isinstance(v, np.ndarray) and v.dtype.kind in "SU":
+        raise TypeError("Stokes vector entries must be numbers, not strings")
+    x = np.asarray(v, dtype=float)
+    if x.shape != (4,):
+        raise ValueError(f"Stokes vector must have shape (4,), got {x.shape}")
+    return tuple(x.tolist())
+
+
 def ref_stokes(intensity, f, a, b, c):
-    """MeasurementSet.__init__'s checks and conversion, with one generator over the four vectors."""
-    if not intensity > 0.0:
+    """MeasurementSet.__init__'s checks and conversion: the intensity, then F, A, B and C, then the envelope."""
+    i = ref_real(intensity)
+    if not i > 0.0:
         raise NonPositiveIntensity(f"intensity must be > 0, got {intensity}")
-    stokes = tuple(_vector(s) or probes._stokes(s) for s in (f, a, b, c))
-    intensity = float(intensity)
-    limit = probes.MAX_OUTPUT_RATIO * intensity
-    if not (probes.INTENSITY_RANGE[0] <= intensity <= probes.INTENSITY_RANGE[1]
+    stokes = tuple(ref_vector(s) for s in (f, a, b, c))
+    limit = probes.MAX_OUTPUT_RATIO * i
+    if not (probes.INTENSITY_RANGE[0] <= i <= probes.INTENSITY_RANGE[1]
             and all(map(limit.__ge__, map(abs, stokes[0] + stokes[1] + stokes[2] + stokes[3])))):
         raise ValueError("measurements must be finite and in range: need %g <= intensity <= %g"
                          " and max|output| <= %g * intensity" % (*probes.INTENSITY_RANGE, probes.MAX_OUTPUT_RATIO))
-    return intensity, stokes
+    return i, stokes
 
 
 def ref_lorentz_complex(k):
@@ -260,7 +291,7 @@ def test_is_lorentzian_matches_reference(data, rows, form):
 
     def reference():
         _check_tolerance(tol)  # before the matrix is read, as is_lorentzian does
-        return ref_classify(_matrix(m), tol)
+        return ref_classify(np.asarray(m, dtype=float).tolist(), tol)
 
     assert outcome(lp.is_lorentzian, m, tol) == outcome(reference)
     if math.isfinite(tol) and tol > 0.0:  # the CLI's call, on rows of lists
@@ -277,7 +308,7 @@ def test_recover_quaternion_matches_reference(data, rows):
     args = (rows, ortho_tol)
 
     def reference():
-        checked = _checked(rows, float, (3, 3), "rotation matrix").tolist()
+        checked = np.asarray(rows, dtype=float).tolist()
         return np.array(ref_quaternion(checked, _check_tolerance(ortho_tol)))
 
     assert outcome(lp.recover_quaternion, *args) == outcome(reference)
@@ -382,7 +413,7 @@ def reference_built(intensity, vectors):
 
 
 @settings(max_examples=600)
-@given(st.one_of(INTENSITIES, st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e101])),
+@given(st.one_of(INTENSITIES, st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e101, 10**400, -10**400])),
        st.lists(stokes_vectors(), min_size=4, max_size=4))
 def test_measurement_set_constructor_matches_reference(intensity, vectors):
     assert outcome(built, intensity, vectors) == outcome(reference_built, intensity, vectors)
@@ -407,6 +438,105 @@ def test_measurement_set_constructor_paths(vectors, message):
     got = outcome(built, 1.0, vectors)
     assert got == outcome(reference_built, 1.0, vectors)
     assert got[0] == "ok" if message is None else message in got[2]
+
+
+# --- the input converter against numpy's conversion --------------------------------------------
+
+REALS = st.one_of(
+    st.floats(), st.sampled_from(SPECIALS + [1e-310, -1e-310]), st.integers(-10**300, 10**300), st.booleans(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+COMPLEXES = st.one_of(REALS, st.complex_numbers(), st.complex_numbers().map(np.complex128),
+                      st.complex_numbers(width=64).map(np.complex64))
+ARRAY_DTYPES = {float: [np.float64, np.float32, np.int64, np.bool_], complex: [np.complex128, np.complex64, np.float64]}
+
+
+def listed(x):
+    """x with every tuple as a list, so that _numbers's tuples compare with numpy's lists."""
+    return [listed(v) for v in x] if isinstance(x, (list, tuple)) else x
+
+
+def ref_numbers(x, shape, what, kind):
+    """numpy's conversion: np.asarray(x, dtype=kind).tolist(), or ValueError unless it has the given shape."""
+    y = np.asarray(x, dtype=kind)
+    if y.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {y.shape}")
+    return y.tolist()
+
+
+@st.composite
+def convertible(draw, kind):
+    """A target shape and an input that numpy reads as numbers: a list, a tuple or nested tuples, an ndarray
+    of one of ARRAY_DTYPES, or a numpy scalar; of the target shape or of another one."""
+    shape = draw(st.sampled_from([(3,), (4,), (3, 3), (4, 4)]))
+    data = draw(st.sampled_from([shape, shape, (4,), (5,), (2, 4), (4, 3), ()]))
+    form = draw(st.sampled_from(["list", "tuple", "ndarray", "scalar"]))
+    if form == "ndarray":
+        dtype = draw(st.sampled_from(ARRAY_DTYPES[kind]))
+        entries = {np.float32: st.floats(width=32), np.int64: st.integers(-2**63, 2**63 - 1), np.bool_: st.booleans(),
+                   np.complex64: st.complex_numbers(width=64)}.get(dtype, REALS if dtype is np.float64 else COMPLEXES)
+        size = math.prod(data)
+        return shape, np.array(draw(st.lists(entries, min_size=size, max_size=size)), dtype=dtype).reshape(data)
+    if form == "scalar" or not data:
+        return shape, draw(REALS if kind is float else COMPLEXES)
+    flat = draw(st.lists(REALS if kind is float else COMPLEXES, min_size=math.prod(data), max_size=math.prod(data)))
+    rows = flat if len(data) == 1 else [flat[i:i + data[1]] for i in range(0, len(flat), data[1])]
+    if form == "tuple":
+        rows = tuple(tuple(r) for r in rows) if len(data) == 2 else tuple(rows)
+    return shape, rows
+
+
+@settings(max_examples=1500)
+@given(st.data(), st.sampled_from([float, complex]))
+def test_numbers_match_numpy_conversion(data, kind):
+    shape, x = data.draw(convertible(kind))
+    got = outcome(lambda: listed(_numbers(x, shape, "input", kind)))
+    assert got == outcome(ref_numbers, x, shape, "input", kind)
+
+
+IDENTITY_ROW = [1.0, 0.0, 0.0, 0.0]
+NOT_NONE = "float() argument must be a string or a real number, not 'NoneType'"
+REFUSED = {
+    "str_entry": ([1.0, "0", 0.0, 0.0], (4,), float, TypeError, "input entries must be numbers, not strings"),
+    "bytes_entry": ([1.0, b"0", 0.0, 0.0], (4,), float, TypeError, "input entries must be numbers, not strings"),
+    "str_input": ("1 0 0 0", (4,), float, TypeError, "input entries must be numbers, not strings"),
+    "str_for_complex": (["0.5j", 0, 0, 0], (4,), complex, TypeError, "input entries must be numbers, not strings"),
+    "complex_entry": ([1.0, 0.5j, 0.0, 0.0], (4,), float, TypeError, "input entries must be real numbers, not complex"),
+    "complex_ndarray": (np.eye(4) + 0.5j, (4, 4), float, TypeError, "input entries must be real numbers, not complex"),
+    "complex128_entry": ([np.complex128(0.5j), 0, 0, 0], (4,), float, TypeError, "must be real numbers, not complex"),
+    "complex64_entry": ([np.complex64(0.5j), 0, 0, 0], (4,), float, TypeError, "must be real numbers, not complex"),
+    "complex_zero_imag": ([np.complex128(1.0), 0, 0, 0], (4,), float, TypeError, "must be real numbers, not complex"),
+    "none_entry": ([1.0, None, 0.0, 0.0], (4,), float, TypeError, NOT_NONE),
+    "none_input": (None, (4,), float, TypeError, NOT_NONE),
+    "none_for_complex": ([None, 0, 0, 0], (4,), complex, TypeError, NOT_NONE),
+    "dict_entry": ([1.0, {}, 0.0, 0.0], (4,), float, TypeError,
+                   "float() argument must be a string or a real number, not 'dict'"),
+    "dict_input": ({}, (4, 4), float, TypeError, "float() argument must be a string or a real number, not 'dict'"),
+    "nested_entry": ([1.0, [0.0], 0.0, 0.0], (4,), float, TypeError,
+                     "float() argument must be a string or a real number, not 'list'"),
+    "short": ([1.0, 0.0, 0.0], (4,), float, ValueError, "input must have shape (4,), got (3,)"),
+    "matrix_for_vector": (np.zeros((2, 2)), (4,), float, ValueError, "input must have shape (4,), got (2, 2)"),
+    "scalar": (1.0, (4,), complex, ValueError, "input must have shape (4,), got ()"),
+    "three_rows": ([IDENTITY_ROW] * 3, (4, 4), float, ValueError, "input must have shape (4, 4), got (3, 4)"),
+    "ragged": ([IDENTITY_ROW, IDENTITY_ROW[:3], IDENTITY_ROW, IDENTITY_ROW], (4, 4), float, ValueError,
+               "input must have shape (4, 4), got (4,)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_numbers_refusals(name):
+    x, shape, kind, error, message = REFUSED[name]
+    with pytest.raises(error) as info:
+        _numbers(x, shape, "input", kind)
+    assert message in str(info.value)
+
+
+def test_numbers_keep_signed_zeros_and_read_huge_ints_as_inf():
+    assert bits(_numbers([-0.0, 0, False, np.float64(-0.0)], (4,), "input")) == bits((-0.0, 0.0, 0.0, -0.0))
+    assert bits(_numbers([-0.0, 0.0, -0.0j, complex(-0.0, -0.0)], (4,), "input", complex)) == \
+        bits((complex(-0.0, 0.0), 0j, -0j, complex(-0.0, -0.0)))
+    assert _numbers([10**400, -10**400, 2**1024, 0], (4,), "input") == (math.inf, -math.inf, math.inf, 0.0)
 
 
 # --- the forward path: the rebuild from k and the probe product ---------------------------------

@@ -159,6 +159,41 @@ def test_measurement_set_refuses_string_entries(name):
         lp.MeasurementSet(1.0, *STRING_SETS[name])
 
 
+COMPLEX_SETS = {
+    # each entry lost its imaginary part with a ComplexWarning, and A was stored as (0, 0, 0, 0)
+    "complex_in_list": (GOOD[0], [0.5j, 0, 0, 0], *GOOD[2:]),
+    "complex128_in_list": (GOOD[0], [np.complex128(0.5j), 0, 0, 0], *GOOD[2:]),
+    "complex64_in_list": (GOOD[0], [np.complex64(0.5j), 0, 0, 0], *GOOD[2:]),
+    "complex_array": (GOOD[0], np.array([0.5j, 0, 0, 0]), *GOOD[2:]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_SETS))
+def test_measurement_set_refuses_complex_entries(name):
+    with pytest.raises(TypeError, match="Stokes vector entries must be real numbers, not complex"):
+        lp.MeasurementSet(1.0, *COMPLEX_SETS[name])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lp.MeasurementSet(10**400, [1, 0, 0, 0.5], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]),
+    lambda: lp.simulate_measurements(lp.boost_mueller(3, 0.5), 10**400),
+], ids=["measurement_set", "simulate"])
+def test_intensity_past_the_float_range_fails_the_envelope(call):
+    # an int past the float range reads as inf; it raised OverflowError
+    with pytest.raises(ValueError, match="^measurements must be finite and in range"):
+        call()
+
+
+def test_null_entry_is_malformed_json():
+    # null read as NaN and failed the envelope; it is no number
+    text = ('{"intensity": 1, "outputs": {"F": [1, 0, 0, null], "A": [1, 1, 0, 0], "B": [1, 0, 1, 0],'
+            ' "C": [1, 0, 0, 1]}}')
+    with pytest.raises(ValueError, match="^malformed measurement JSON: float.. argument .* not 'NoneType'"):
+        lp.MeasurementSet.from_json(text)
+    with pytest.raises(TypeError, match="not 'NoneType'"):
+        lp.MeasurementSet(1.0, [1, 0, 0, None], *GOOD[1:])
+
+
 def test_measurement_set_reads_bools_and_numpy_scalars():
     ms = lp.MeasurementSet(True, [True, False, False, np.float64(-0.0)], (1, 1, 0, 0),
                            [np.float64(1.0), np.int64(0), np.bool_(True), 0], np.array([1, 0, 0, 1]))
