@@ -74,8 +74,11 @@ def _square(v) -> complex:
 def _number(e, what: str, kind: type = float):
     """One entry as a float (kind float) or complex number (kind complex) by float(), which keeps signed zeros
     and refuses None; TypeError for a string (float() reads it) or a complex value where reals belong (float()
-    truncates a numpy one).  An int past the float range reads as +-inf, which no input range admits."""
+    truncates a numpy one).  A numpy scalar or 0-d array is read through its tolist().  An int past the float
+    range reads as +-inf, which no input range admits."""
     if type(e) is not float and type(e) is not int:
+        if hasattr(e, "tolist"):
+            e = e.tolist()
         import numbers  # not on the CLI's path, whose JSON numbers are all floats
         if isinstance(e, numbers.Complex) and not isinstance(e, numbers.Real):
             if kind is complex:
@@ -91,9 +94,9 @@ def _number(e, what: str, kind: type = float):
 
 
 def _shape(x) -> tuple:
-    """numpy's shape of nested lists and tuples, as far down as they are regular."""
+    """numpy's shape of nested lists and tuples, and of the ndarrays among them, as far down as they are regular."""
     if not isinstance(x, (list, tuple)):
-        return ()
+        return tuple(getattr(x, "shape", ()))
     inner = {_shape(e) for e in x}
     return (len(x), *inner.pop()) if len(inner) == 1 else (len(x),)
 

@@ -468,16 +468,20 @@ def ref_numbers(x, shape, what, kind):
 @st.composite
 def convertible(draw, kind):
     """A target shape and an input that numpy reads as numbers: a list, a tuple or nested tuples, an ndarray
-    of one of ARRAY_DTYPES, or a numpy scalar; of the target shape or of another one."""
+    of one of ARRAY_DTYPES, a list or tuple of such ndarrays (rows, or 0-d arrays as entries), or a numpy
+    scalar; of the target shape or of another one."""
     shape = draw(st.sampled_from([(3,), (4,), (3, 3), (4, 4)]))
     data = draw(st.sampled_from([shape, shape, (4,), (5,), (2, 4), (4, 3), ()]))
-    form = draw(st.sampled_from(["list", "tuple", "ndarray", "scalar"]))
-    if form == "ndarray":
+    form = draw(st.sampled_from(["list", "tuple", "ndarray", "arrays", "scalar"]))
+    if form in ("ndarray", "arrays"):
         dtype = draw(st.sampled_from(ARRAY_DTYPES[kind]))
         entries = {np.float32: st.floats(width=32), np.int64: st.integers(-2**63, 2**63 - 1), np.bool_: st.booleans(),
                    np.complex64: st.complex_numbers(width=64)}.get(dtype, REALS if dtype is np.float64 else COMPLEXES)
         size = math.prod(data)
-        return shape, np.array(draw(st.lists(entries, min_size=size, max_size=size)), dtype=dtype).reshape(data)
+        array = np.array(draw(st.lists(entries, min_size=size, max_size=size)), dtype=dtype).reshape(data)
+        if form == "ndarray" or not data:
+            return shape, array
+        return shape, draw(st.sampled_from([list, tuple]))(array[i, ...] for i in range(data[0]))
     if form == "scalar" or not data:
         return shape, draw(REALS if kind is float else COMPLEXES)
     flat = draw(st.lists(REALS if kind is float else COMPLEXES, min_size=math.prod(data), max_size=math.prod(data)))
@@ -505,6 +509,7 @@ REFUSED = {
     "complex_entry": ([1.0, 0.5j, 0.0, 0.0], (4,), float, TypeError, "input entries must be real numbers, not complex"),
     "complex_ndarray": (np.eye(4) + 0.5j, (4, 4), float, TypeError, "input entries must be real numbers, not complex"),
     "complex128_entry": ([np.complex128(0.5j), 0, 0, 0], (4,), float, TypeError, "must be real numbers, not complex"),
+    "complex_0d_array_entry": ([np.array(0.5j), 0, 0, 0], (4,), float, TypeError, "must be real numbers, not complex"),
     "complex64_entry": ([np.complex64(0.5j), 0, 0, 0], (4,), float, TypeError, "must be real numbers, not complex"),
     "complex_zero_imag": ([np.complex128(1.0), 0, 0, 0], (4,), float, TypeError, "must be real numbers, not complex"),
     "none_entry": ([1.0, None, 0.0, 0.0], (4,), float, TypeError, NOT_NONE),
@@ -530,6 +535,15 @@ def test_numbers_refusals(name):
     with pytest.raises(error) as info:
         _numbers(x, shape, "input", kind)
     assert message in str(info.value)
+
+
+def test_numbers_read_lists_and_tuples_of_ndarrays():
+    assert _numbers(list(np.eye(4)), (4, 4), "input") == [tuple(row) for row in np.eye(4).tolist()]
+    assert _numbers(tuple(np.eye(3, dtype=np.float32)), (3, 3), "input") == [tuple(row) for row in np.eye(3).tolist()]
+    assert bits(_numbers([np.array(-0.0), np.float64(0.5), np.array(2, dtype=np.int64), 1], (4,), "input")) == \
+        bits((-0.0, 0.5, 2.0, 1.0))
+    assert lp.is_lorentzian(list(np.eye(4))) is lp.MuellerClass.ROTATION
+    assert lp.is_lorentzian(tuple(lp.boost_mueller(3, 0.5))) is lp.MuellerClass.LORENTZ
 
 
 def test_numbers_keep_signed_zeros_and_read_huge_ints_as_inf():
