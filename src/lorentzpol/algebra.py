@@ -73,12 +73,10 @@ def _square(v) -> complex:
 
 def _number(e, what: str, kind: type = float):
     """One entry as a float (kind float) or complex number (kind complex) by float(), which keeps signed zeros
-    and refuses None; TypeError for a string (float() reads it) or a complex value where reals belong (float()
-    truncates a numpy one).  A numpy scalar or 0-d array is read through its tolist().  An int past the float
-    range reads as +-inf, which no input range admits."""
+    and refuses None; TypeError for a string (float() reads it) or a complex value where reals belong, also in
+    a numpy scalar or 0-d array.  An int past the float range reads as +-inf, which no input range admits."""
     if type(e) is not float and type(e) is not int:
-        if hasattr(e, "tolist"):
-            e = e.tolist()
+        e = e.tolist() if hasattr(e, "tolist") else e  # a numpy scalar or 0-d array as a Python number
         import numbers  # not on the CLI's path, whose JSON numbers are all floats
         if isinstance(e, numbers.Complex) and not isinstance(e, numbers.Real):
             if kind is complex:
@@ -116,10 +114,9 @@ def _numbers(x, shape: tuple, what: str, kind: type = float):
         else:
             return tuple(x)  # a list of Python floats (complex numbers) as it is
     got = _shape(x)
-    if got == shape and len(shape) == 1:
-        return tuple([_number(e, what, kind) for e in x])
-    if got == shape:
-        return [_numbers(row, shape[1:], what, kind) for row in x]
+    if got == shape:  # entries through _number, rows through _numbers
+        return tuple([_number(e, what, kind) for e in x]) if len(shape) == 1 else [
+            _numbers(row, shape[1:], what, kind) for row in x]
     if not got:  # a scalar that is no number gets its TypeError, as from numpy, not the shape error
         _number(x, what, kind)
     raise ValueError(f"{what} must have shape {shape}, got {got}")
