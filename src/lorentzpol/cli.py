@@ -17,8 +17,9 @@ Exit codes:
      not rotation-type)
   141  stdout or stderr closed by its reader before the output was written
 
-Codes 3-5 are the ``exit_code`` of the LorentzpolError raised; any error
-raised while reading input or building the element exits 2.
+Codes 3-5 are the ``exit_code`` of the LorentzpolError raised, and 5 also of
+the --model lorentz residual rejection; any error raised while reading input
+or building the element exits 2.  Each report is one % format, from _write.
 """
 
 from __future__ import annotations
@@ -113,25 +114,9 @@ def _load_measurements(path: str) -> MeasurementSet:
     return MeasurementSet.from_json(text)
 
 
-class NotLorentzianInput(LorentzpolError):
-    """Residuals rule out a Lorentz-type element under --model lorentz; exit 5, own report."""
-
-    exit_code = 5
-
-    def __init__(self, residuals: tuple[list, float], tol: float):
-        r, normalized_max = residuals
-        super().__init__(f"normalized residual {normalized_max:.6g} exceeds tol {tol:g}")
-        self.report = {
-            "error": str(self),
-            "lorentz_residuals": r,
-            "max_normalized_residual": normalized_max,
-            "tolerance": tol,
-        }
-
-
-# Each exit-0 report kind in one format, which gives the bytes of jsonio.dumps on its dict:
-# every number slot is jsonio.NUMBER, and a %s slot takes the dumps text of the tolerance or
-# of an error message.
+# Each report kind in one format, which gives the bytes of jsonio.dumps on its dict: every
+# number slot is jsonio.NUMBER, and a %s slot takes the dumps text of the tolerance or of an
+# error message.
 def _list(n: int) -> str:
     return "[" + ", ".join([jsonio.NUMBER] * n) + "]"
 
@@ -149,6 +134,12 @@ LORENTZ_REPORT, AUTO_LORENTZ_REPORT = "{" + _LORENTZ, _AUTO % "lorentz" + _LOREN
 ROTATION_REPORT, AUTO_ROTATION_REPORT = "{" + _ROTATION, _AUTO % "rotation" + _ROTATION
 NOT_LORENTZIAN_REPORT = _NOT_LORENTZIAN + f'"round_trip_max_dev": {jsonio.NUMBER}}}'
 NOT_LORENTZIAN_ERROR_REPORT = _NOT_LORENTZIAN + '"round_trip_error": %s}'
+# the stderr reports: a recovery that raised (exit 4 or 5), and the --model lorentz rejection (exit 5)
+PARTIAL_REPORT = f'{{"error": %s, "matrix": {_MATRIX}, "lorentz_residuals": {_list(4)}}}'
+REJECTION_REPORT = (f'{{"error": %s, "lorentz_residuals": {_list(4)}, "max_normalized_residual": '
+                    f'{jsonio.NUMBER}, "tolerance": %s}}')
+# classify's line, whose %s slot takes the classification's name
+CLASSIFY_LINE = f"%s residuals={_list(4)} max_normalized={jsonio.NUMBER} tol=%g"
 
 
 def _write(template: str, head: tuple, numbers: list, tail: tuple = ()) -> str:
@@ -176,15 +167,13 @@ def _rotation_numbers(ms: MeasurementSet, rows: list, r: list, tol: float) -> li
 
 def _report(ms: MeasurementSet, model: str, tol: float, rows: list, residuals: tuple[list, float]) -> str:
     """The exit-0 report of one measurement set, from its reconstructed rows and its
-    residuals; raises LorentzpolError on failure."""
+    residuals; raises the library's LorentzpolError on failure."""
     r, normalized_max = residuals
     if model == "raw":
         return _write(RAW_REPORT, (), [*rows[0], *rows[1], *rows[2], *rows[3]])
     if model == "rotation":
         return _write(ROTATION_REPORT, (), _rotation_numbers(ms, rows, r, tol))
     if model == "lorentz":
-        if normalized_max > tol:
-            raise NotLorentzianInput(residuals, tol)
         return _write(LORENTZ_REPORT, (), _lorentz_numbers(ms, rows, r))
     # auto
     classification = is_lorentzian(rows, tol)
@@ -207,15 +196,15 @@ def _recover_one(path: str, model: str, tol: float) -> tuple[int, str, str]:
     except Exception as exc:  # whatever stops the read, the input is unusable: exit 2
         return 2, "", f"error: cannot read measurements from {path!r}: {exc}"
     rows, residuals = reconstruct_mueller(ms), lorentz_residuals(ms)
+    r, normalized_max = residuals
+    if model == "lorentz" and normalized_max > tol:
+        error = f"normalized residual {normalized_max:.6g} exceeds tol {tol:g}"
+        return 5, "", _write(REJECTION_REPORT, (jsonio.dumps(error),), [*r, normalized_max], (jsonio.dumps(tol),))
     try:
         return 0, _report(ms, model, tol, rows, residuals), ""
     except LorentzpolError as exc:
-        report = exc.report if isinstance(exc, NotLorentzianInput) else {
-            "error": f"{type(exc).__name__}: {exc}",
-            "matrix": rows,
-            "lorentz_residuals": residuals[0],
-        }
-        return exc.exit_code, "", jsonio.dumps(report)
+        error = jsonio.dumps(f"{type(exc).__name__}: {exc}")
+        return exc.exit_code, "", _write(PARTIAL_REPORT, (error,), [*rows[0], *rows[1], *rows[2], *rows[3], *r])
 
 
 def cmd_recover(args) -> int:
@@ -267,11 +256,7 @@ def cmd_classify(args) -> int:
         return _fail(f"cannot read measurements from {args.input!r}: {exc}", 2)
     classification = is_lorentzian(reconstruct_mueller(ms), args.tol)
     r, normalized_max = lorentz_residuals(ms)
-    values = ", ".join(jsonio.format_number(x) for x in r)
-    print(
-        f"{classification.value} residuals=[{values}] "
-        f"max_normalized={jsonio.format_number(normalized_max)} tol={args.tol:g}"
-    )
+    print(_write(CLASSIFY_LINE, (classification.value,), [*r, normalized_max], (args.tol,)))
     return {
         MuellerClass.LORENTZ: 0,
         MuellerClass.ROTATION: 1,

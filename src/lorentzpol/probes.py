@@ -33,9 +33,18 @@ MAX_OUTPUT_RATIO = 1e50
 # A measurement set's JSON text in one format: the bytes of jsonio.dumps on its fields.
 _JSON = '{"intensity": %s, "outputs": {"F": %s, "A": %s, "B": %s, "C": %s}}' % (
     jsonio.NUMBER, *("[" + ", ".join([jsonio.NUMBER] * 4) + "]",) * 4)
-# json's reader, except that an int literal reads as a float: "-0" as the -0.0 that %.17g writes that way, and
-# one past the float range raises OverflowError (a malformed file) instead of reading as inf
-_DECODER = json.JSONDecoder(parse_int=lambda text: -0.0 if text == "-0" else float(int(text)))
+
+
+def _parse_int(text: str) -> float:
+    """An int literal as a float: "-0" as the -0.0 that %.17g writes that way, and one past the float range
+    raises OverflowError (a malformed file) instead of reading as inf."""
+    try:
+        return -0.0 if text == "-0" else float(int(text))
+    except ValueError:  # int() refuses a literal past 4300 digits, far past the float range
+        raise OverflowError("int too large to convert to float") from None
+
+
+_DECODER = json.JSONDecoder(parse_int=_parse_int)  # json's reader, with int literals read as floats
 
 
 class NoiseSpec(_Value):
@@ -89,10 +98,15 @@ class MeasurementSet(_Value):
         try:
             data = _DECODER.decode(text)
             intensity, outputs = data["intensity"], data["outputs"]
+            # JSON true and false read as bools, which the constructor takes as 1 and 0: refuse them here.  A file
+            # without an r or an l, letters of no key or number of a measurement file, holds neither.
+            if ("r" in text or "l" in text) and bool in map(type, [intensity, *[
+                    e for key in "FABC" if type(outputs[key]) is list for e in outputs[key]]]):
+                raise TypeError("measurement entries must be numbers, not booleans")
             return cls(intensity, outputs["F"], outputs["A"], outputs["B"], outputs["C"])
         except KeyError as exc:
             raise ValueError(f"malformed measurement JSON: missing {exc}") from exc
-        # a non-numeric or string entry, an integer past the float range, or nesting past the recursion limit
+        # a non-numeric, string or boolean entry, an int past the float range, or nesting past the recursion limit
         except (TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed measurement JSON: {exc}") from exc
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -480,9 +480,19 @@ def recover_inputs(draw):
     return lp.MeasurementSet.from_json(lp.simulate_measurements(element, intensity, noise).to_json())
 
 
+def _read_back(element, noise=None):
+    """A simulated set as recover reads it: through its JSON text."""
+    return lp.MeasurementSet.from_json(lp.simulate_measurements(element, 1.0, noise).to_json())
+
+
+# an input of each stderr report kind, which a run of random draws may miss
 @settings(max_examples=300)
 @given(recover_inputs(), st.sampled_from(["auto", "lorentz", "rotation", "raw"]),
        st.sampled_from([1e-9, 1e-3]))
+@example(_read_back(lp.embed_rotation(lp.quaternion_to_rotation([0, 1, 0, 0]))), "auto", 1e-9)  # NearPiRotation
+@example(_read_back(lp.boost_mueller(3, 0.5) @ lp.rotation_mueller(1, np.pi)), "lorentz", 1e-9)  # DegenerateTrace
+@example(_read_back(lp.rotation_mueller(2, 0.8), lp.NoiseSpec(1e-4, 3)), "lorentz", 1e-9)  # residual rejection
+@example(_read_back(lp.boost_mueller(3, 0.7)), "rotation", 1e-9)  # NotRotationType
 def test_report_writer_gives_the_bytes_of_the_reference(ms, model, tol):
     with mock.patch("sys.stdin", io.StringIO(ms.to_json())):
         code, out, err = cli._recover_one("-", model, tol)
@@ -685,6 +695,33 @@ def test_golden_noisy_recover_bytes():
         simulate.wait(timeout=60)
     assert (simulate.returncode, recover.returncode, recover.stderr) == (0, 0, b"")
     assert recover.stdout == (GOLDEN / "recover_rotation1_noise_auto.json").read_bytes()
+
+
+def test_golden_half_wave_partial_report_bytes():
+    # a half-wave plate under auto: the partial report of NearPiRotation on stderr, exit 4
+    simulate = subprocess.run([sys.executable, "-m", "lorentzpol", "simulate", "--quaternion", "0", "1", "0", "0"],
+                              capture_output=True, check=True, env=BUFFERED, timeout=60)
+    recover = subprocess.run([sys.executable, "-m", "lorentzpol", "recover", "--model", "auto"],
+                             input=simulate.stdout, capture_output=True, env=BUFFERED, timeout=60)
+    assert (recover.returncode, recover.stdout) == (4, b"")
+    assert recover.stderr == (GOLDEN / "recover_halfwave_auto.stderr").read_bytes()
+
+
+def test_golden_noisy_lorentz_rejection_bytes():
+    # the --model lorentz residual rejection of the noisy rotation golden on stderr, exit 5
+    result = subprocess.run([sys.executable, "-m", "lorentzpol", "recover", "--model", "lorentz",
+                             str(GOLDEN / "simulate_rotation1_noise.json")],
+                            capture_output=True, env=BUFFERED, timeout=60)
+    assert (result.returncode, result.stdout) == (5, b"")
+    assert result.stderr == (GOLDEN / "recover_rotation1_noise_lorentz.stderr").read_bytes()
+
+
+def test_golden_noisy_classify_bytes():
+    result = subprocess.run([sys.executable, "-m", "lorentzpol", "classify",
+                             str(GOLDEN / "simulate_rotation1_noise.json")],
+                            capture_output=True, env=BUFFERED, timeout=60)
+    assert (result.returncode, result.stderr) == (5, b"")
+    assert result.stdout == (GOLDEN / "classify_rotation1_noise.txt").read_bytes()
 
 
 # Runs the CLI in a fresh interpreter; the last stderr line lists the modules that lorentzpol's

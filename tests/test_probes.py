@@ -347,23 +347,27 @@ def test_json_rejects_malformed_input():
 
 
 HUGE_INT = "1" + "0" * 400  # past the float range: float() raises OverflowError
+PAST_INT_LIMIT = "1" + "0" * 5000  # past int()'s 4300-digit limit for a string
 
 
 @pytest.mark.parametrize("intensity, f", [
     ("1", '{"a": 1}'), ("1", "[1, 0, 0, {}]"), ("[1]", "[1, 0, 0, 0]"),
     (HUGE_INT, "[1, 0, 0, 0]"), ("1", f"[{HUGE_INT}, 0, 0, 0]"),
     ('"1"', "[1, 0, 0, 0]"), ("1", '[1, "0", 0, 0]'),
+    (PAST_INT_LIMIT, "[1, 0, 0, 0]"), ("true", "[1, 0, 0, 0]"), ("1", "[1, false, 0, 0]"),
 ], ids=["dict_vector", "dict_entry", "list_intensity", "huge_intensity", "huge_entry",
-        "string_intensity", "string_entry"])
+        "string_intensity", "string_entry", "past_int_limit_intensity", "true_intensity", "false_entry"])
 def test_json_rejects_non_numeric_entries(intensity, f):
     # the TypeError or OverflowError of such an entry, or a string that float() would
-    # read, becomes the ValueError of every malformed file, and its message does not
-    # call the entry missing
+    # read, or a boolean that the constructor would, becomes the ValueError of every
+    # malformed file, and its message does not call the entry missing
     text = (f'{{"intensity": {intensity}, "outputs": {{"F": {f}, "A": [1, 1, 0, 0],'
             f' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}}}')
     with pytest.raises(ValueError, match="^malformed measurement JSON: ") as info:
         lp.MeasurementSet.from_json(text)
     assert "missing" not in str(info.value)
+    if intensity == PAST_INT_LIMIT:  # as a literal inside int()'s limit ends
+        assert str(info.value) == "malformed measurement JSON: int too large to convert to float"
 
 
 def test_json_rejects_deep_nesting():
