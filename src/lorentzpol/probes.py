@@ -53,6 +53,7 @@ class NoiseSpec(_Value):
     _fields = ("sigma", "seed")
 
     def __init__(self, sigma: float = 0.0, seed: int = 0):
+        sigma = _number(sigma, "noise sigma")  # a float, as the intensity is read: the outputs stay floats
         if not (sigma >= 0.0 and math.isfinite(sigma)):
             raise ValueError(f"noise sigma must be finite and >= 0, got {sigma}")
         seed = operator.index(seed)  # an int or numpy integer; TypeError for a float
@@ -74,9 +75,7 @@ class MeasurementSet(_Value):
     f, a, b, c = (_array_view("stokes", i) for i in range(4))
 
     def __init__(self, intensity: float, f, a, b, c):
-        i, what = _probe_intensity(intensity), "Stokes vector"  # a bad intensity is the error reported
-        self._store(i, (_numbers(f, (4,), what), _numbers(a, (4,), what),
-                        _numbers(b, (4,), what), _numbers(c, (4,), what)))
+        self._store(*_read(intensity, f, a, b, c))
 
     def _store(self, intensity: float, stokes: tuple) -> None:
         """Check the envelope on a float intensity and four tuples of floats, then set the fields."""
@@ -103,12 +102,24 @@ class MeasurementSet(_Value):
             if ("r" in text or "l" in text) and bool in map(type, [intensity, *[
                     e for key in "FABC" if type(outputs[key]) is list for e in outputs[key]]]):
                 raise TypeError("measurement entries must be numbers, not booleans")
-            return cls(intensity, outputs["F"], outputs["A"], outputs["B"], outputs["C"])
+            fields = _read(intensity, outputs["F"], outputs["A"], outputs["B"], outputs["C"])
+        except json.JSONDecodeError:  # a text that is no JSON at all keeps the decoder's own error
+            raise
         except KeyError as exc:
             raise ValueError(f"malformed measurement JSON: missing {exc}") from exc
-        # a non-numeric, string or boolean entry, an int past the float range, or nesting past the recursion limit
-        except (TypeError, OverflowError, RecursionError) as exc:
+        # a non-numeric, string or boolean entry, an int past the float range, an output of the wrong shape, or
+        # nesting past the recursion limit; the envelope's ValueError, raised by _store, is not malformed JSON
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed measurement JSON: {exc}") from exc
+        ms = cls.__new__(cls)
+        ms._store(*fields)
+        return ms
+
+
+def _read(intensity, f, a, b, c) -> tuple:
+    """The float intensity and four float tuples of a measurement set; a bad intensity is the error reported."""
+    i, what = _probe_intensity(intensity), "Stokes vector"
+    return i, (_numbers(f, (4,), what), _numbers(a, (4,), what), _numbers(b, (4,), what), _numbers(c, (4,), what))
 
 
 def _probe_intensity(intensity: float) -> float:

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,53 @@ settings.load_profile("numeric")
 # under test, as this process does through pyproject's pytest `pythonpath`.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
+# stdout block-buffered on a pipe, as by default: a byte that entry() fails to flush is lost
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+GOLDEN = Path(__file__).parent / "golden"
+LN2_TEXT = "0.6931471805599453"
+
+
+def run_process(*argv, stdin=b"", allow=()):
+    """(exit code, stdout, stderr) of `python -m lorentzpol *argv` with numpy, dataclasses, inspect and pathlib
+    blocked but for those in allow: an import of one ends in exit 1 with `ModuleNotFoundError` on stderr."""
+    blocked = [name for name in ("dataclasses", "inspect", "numpy", "pathlib") if name not in allow]
+    code = f"import sys; sys.modules.update(dict.fromkeys({blocked})); from lorentzpol.cli import entry; entry()"
+    result = subprocess.run([sys.executable, "-c", code, *argv], input=stdin, capture_output=True, env=BUFFERED,
+                            timeout=60)
+    return result.returncode, result.stdout, result.stderr
+
+
+# One process per row: argv (a .json argument names a golden), the golden read on stdin, the exit code, and the
+# goldens of stdout and stderr (None: no stdin, or an empty stream).  Every file in tests/golden/ is the output of
+# exactly one row; the first two are acceptance criterion 7.
+GOLDEN_RUNS = [
+    (("simulate", "--boost", "3", "--beta", LN2_TEXT), None, 0, "simulate_boost3_ln2.json", None),
+    (("recover", "--model", "lorentz", "simulate_boost3_ln2.json"), None, 0, "recover_boost3_ln2.json", None),
+    (("simulate", "--rotation", "1", "--theta", "0.7"), None, 0, "simulate_rotation1.json", None),
+    (("recover", "--model", "auto"), "simulate_rotation1.json", 0, "recover_rotation1_auto.json", None),
+    # the README's noisy example: lorentzpol's own noise stream, drawn without numpy
+    (("simulate", "--rotation", "1", "--theta", "0.7", "--noise", "0.01", "--seed", "7"), None, 0,
+     "simulate_rotation1_noise.json", None),
+    (("recover", "--model", "auto"), "simulate_rotation1_noise.json", 0, "recover_rotation1_noise_auto.json", None),
+    (("recover", "--model", "lorentz", "simulate_rotation1_noise.json"), None, 5, None,
+     "recover_rotation1_noise_lorentz.stderr"),
+    (("classify", "simulate_rotation1_noise.json"), None, 5, "classify_rotation1_noise.txt", None),
+    # the general element from q, then k, q and the rebuild of the general branch
+    (("simulate", "--qparam", "0.3+0.2j", "-0.1+0.4j", "0.25-0.3j"), None, 0, "simulate_qparam.json", None),
+    (("recover", "--model", "auto"), "simulate_qparam.json", 0, "recover_qparam_auto.json", None),
+    # a half-wave plate: the partial report of NearPiRotation
+    (("simulate", "--quaternion", "0", "1", "0", "0"), None, 0, "simulate_halfwave.json", None),
+    (("recover", "--model", "auto"), "simulate_halfwave.json", 4, None, "recover_halfwave_auto.stderr"),
+]
+
+
+def golden_run(row):
+    """The run of a GOLDEN_RUNS row and its goldens, each as (exit code, stdout, stderr)."""
+    argv, stdin, code, out, err = row
+    argv = [str(GOLDEN / arg) if arg.endswith(".json") else arg for arg in argv]
+    stdin, out, err = ((GOLDEN / name).read_bytes() if name else b"" for name in (stdin, out, err))
+    return run_process(*argv, stdin=stdin), (code, out, err)
 
 
 @st.composite

@@ -5,16 +5,13 @@ criterion 5 runs over exactly the elements of criteria 1, 3 and 4.
 """
 
 import json
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
 import lorentzpol as lp
 
-GOLDEN = Path(__file__).parent / "golden"
+from conftest import GOLDEN_RUNS, golden_run, run_process
 
 BETAS = (0.1, 0.5, np.log(2.0), 1.0, 2.0, 3.0)
 N_SAMPLES = 1000
@@ -183,13 +180,10 @@ def test_criterion_6_degenerate_handling(tmp_path):
             raise AssertionError("DegenerateTrace not raised")
         path = tmp_path / "degenerate.json"
         path.write_text(ms.to_json() + "\n")
-        result = subprocess.run(
-            [sys.executable, "-m", "lorentzpol", "recover", "--model", "lorentz", str(path)],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 4, result
-        assert "nan" not in result.stderr.lower()
-        report = json.loads(result.stderr)
+        code, out, err = run_process("recover", "--model", "lorentz", str(path))
+        assert (code, out) == (4, b""), err
+        assert b"nan" not in err.lower()
+        report = json.loads(err)
         assert "DegenerateTrace" in report["error"]
         assert np.isfinite(np.asarray(report["matrix"], dtype=float)).all()
     except AssertionError as exc:
@@ -200,18 +194,9 @@ def test_criterion_6_degenerate_handling(tmp_path):
 
 def test_criterion_7_cli_golden_files():
     try:
-        simulate = subprocess.run(
-            [sys.executable, "-m", "lorentzpol", "simulate",
-             "--boost", "3", "--beta", "0.6931471805599453"],
-            capture_output=True, check=True,
-        )
-        assert simulate.stdout == (GOLDEN / "simulate_boost3_ln2.json").read_bytes()
-        recover = subprocess.run(
-            [sys.executable, "-m", "lorentzpol", "recover", "--model", "lorentz",
-             str(GOLDEN / "simulate_boost3_ln2.json")],
-            capture_output=True, check=True,
-        )
-        assert recover.stdout == (GOLDEN / "recover_boost3_ln2.json").read_bytes()
+        for row in GOLDEN_RUNS[:2]:  # simulate and recover the ln 2 boost
+            actual, expected = golden_run(row)
+            assert actual == expected, row
     except AssertionError as exc:
         _report(7, False, exc)
         raise

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,12 +16,8 @@ import lorentzpol as lp
 from lorentzpol import cli, jsonio, lorentz
 from lorentzpol.cli import main
 
-from conftest import dense_matrices, unit_quaternions, vector_parameters
-
-GOLDEN = Path(__file__).parent / "golden"
-LN2_TEXT = "0.6931471805599453"
-# stdout block-buffered on a pipe, as by default: a byte that entry() fails to flush is lost
-BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+from conftest import (BUFFERED, GOLDEN, GOLDEN_RUNS, LN2_TEXT, dense_matrices, golden_run, run_process,
+                      unit_quaternions, vector_parameters)
 
 
 def run_cli(capsys, *argv):
@@ -550,77 +545,6 @@ def test_batch_propagates_worst_exit_code(tmp_path, capsys):
     assert "degenerate.json: failed (exit 4)" in out
 
 
-def test_pipe_composability():
-    simulate = subprocess.run(
-        [sys.executable, "-m", "lorentzpol", "simulate", "--boost", "3", "--beta", LN2_TEXT],
-        capture_output=True, check=True, env=BUFFERED,
-    )
-    recover = subprocess.run(
-        [sys.executable, "-m", "lorentzpol", "recover", "--model", "auto"],
-        input=simulate.stdout, capture_output=True, env=BUFFERED,
-    )
-    assert recover.returncode == 0, recover.stderr
-    data = json.loads(recover.stdout)
-    assert data["classification"] == "lorentz"
-    assert_allclose(data["q"]["re"], [0, 0, -1.0 / 3.0], atol=1e-12)
-
-
-def test_golden_simulate_bytes():
-    result = subprocess.run(
-        [sys.executable, "-m", "lorentzpol", "simulate", "--boost", "3", "--beta", LN2_TEXT],
-        capture_output=True, check=True, env=BUFFERED,
-    )
-    assert result.stdout == (GOLDEN / "simulate_boost3_ln2.json").read_bytes()
-
-
-def test_golden_noisy_simulate_bytes():
-    # the noise stream of the README example, drawn without numpy
-    result = subprocess.run(
-        [sys.executable, "-m", "lorentzpol", "simulate", "--rotation", "1", "--theta", "0.7",
-         "--noise", "0.01", "--seed", "7"],
-        capture_output=True, check=True, env=BUFFERED,
-    )
-    assert result.stdout == (GOLDEN / "simulate_rotation1_noise.json").read_bytes()
-
-
-def test_golden_recover_bytes():
-    result = subprocess.run(
-        [sys.executable, "-m", "lorentzpol", "recover", "--model", "lorentz",
-         str(GOLDEN / "simulate_boost3_ln2.json")],
-        capture_output=True, check=True, env=BUFFERED,
-    )
-    assert result.stdout == (GOLDEN / "recover_boost3_ln2.json").read_bytes()
-
-
-def test_golden_rotation_recover_bytes():
-    # the rotation report of `recover --model auto`: quaternion, rebuild and residuals
-    simulate = subprocess.run([sys.executable, "-m", "lorentzpol", "simulate", "--rotation", "1", "--theta",
-                               "0.7"], capture_output=True, check=True, env=BUFFERED, timeout=60)
-    recover = subprocess.run([sys.executable, "-m", "lorentzpol", "recover", "--model", "auto"],
-                             input=simulate.stdout, capture_output=True, env=BUFFERED, timeout=60)
-    assert (recover.returncode, recover.stderr) == (0, b"")
-    assert recover.stdout == (GOLDEN / "recover_rotation1_auto.json").read_bytes()
-
-
-QPARAM = ("--qparam", "0.3+0.2j", "-0.1+0.4j", "0.25-0.3j")
-
-
-def test_golden_qparam_simulate_bytes():
-    # the general element built from q: k_from_q, lorentz_from_k, then the probes
-    result = subprocess.run([sys.executable, "-m", "lorentzpol", "simulate", *QPARAM],
-                            capture_output=True, check=True, env=BUFFERED, timeout=60)
-    assert result.stdout == (GOLDEN / "simulate_qparam.json").read_bytes()
-
-
-def test_golden_qparam_recover_bytes():
-    # k, q and the rebuild of the general branch, from the qparam golden on stdin
-    result = subprocess.run([sys.executable, "-m", "lorentzpol", "recover", "--model", "auto"],
-                            input=(GOLDEN / "simulate_qparam.json").read_bytes(), capture_output=True,
-                            env=BUFFERED, timeout=60)
-    assert (result.returncode, result.stderr) == (0, b"")
-    assert result.stdout == (GOLDEN / "recover_qparam_auto.json").read_bytes()
-
-
 @pytest.mark.parametrize("argv, attached", [
     (("--boost", "3", "--beta", "-1e-3"), ("--boost", "3", "--beta=-1e-3")),
     (("--quaternion", "1", "0", "0", "-1e-9"), None),
@@ -682,6 +606,17 @@ def test_batch_into_pipe_flushes_every_status_line(tmp_path):
     assert result.stdout.splitlines() == [f"{name}: ok" for name in names]
 
 
+@pytest.mark.parametrize("row", GOLDEN_RUNS, ids=[out or err for *_, out, err in GOLDEN_RUNS])
+def test_golden_run(row):
+    actual, expected = golden_run(row)
+    assert actual == expected
+
+
+def test_every_golden_is_the_output_of_one_run():
+    outputs = [name for *_, out, err in GOLDEN_RUNS for name in (out, err) if name]
+    assert sorted(outputs) == sorted(path.name for path in GOLDEN.iterdir())
+
+
 def test_golden_noisy_recover_bytes():
     # the README pipe, with the process boundary: recover reads stdin until simulate exits
     simulate = subprocess.Popen(
@@ -697,52 +632,9 @@ def test_golden_noisy_recover_bytes():
     assert recover.stdout == (GOLDEN / "recover_rotation1_noise_auto.json").read_bytes()
 
 
-def test_golden_half_wave_partial_report_bytes():
-    # a half-wave plate under auto: the partial report of NearPiRotation on stderr, exit 4
-    simulate = subprocess.run([sys.executable, "-m", "lorentzpol", "simulate", "--quaternion", "0", "1", "0", "0"],
-                              capture_output=True, check=True, env=BUFFERED, timeout=60)
-    recover = subprocess.run([sys.executable, "-m", "lorentzpol", "recover", "--model", "auto"],
-                             input=simulate.stdout, capture_output=True, env=BUFFERED, timeout=60)
-    assert (recover.returncode, recover.stdout) == (4, b"")
-    assert recover.stderr == (GOLDEN / "recover_halfwave_auto.stderr").read_bytes()
-
-
-def test_golden_noisy_lorentz_rejection_bytes():
-    # the --model lorentz residual rejection of the noisy rotation golden on stderr, exit 5
-    result = subprocess.run([sys.executable, "-m", "lorentzpol", "recover", "--model", "lorentz",
-                             str(GOLDEN / "simulate_rotation1_noise.json")],
-                            capture_output=True, env=BUFFERED, timeout=60)
-    assert (result.returncode, result.stdout) == (5, b"")
-    assert result.stderr == (GOLDEN / "recover_rotation1_noise_lorentz.stderr").read_bytes()
-
-
-def test_golden_noisy_classify_bytes():
-    result = subprocess.run([sys.executable, "-m", "lorentzpol", "classify",
-                             str(GOLDEN / "simulate_rotation1_noise.json")],
-                            capture_output=True, env=BUFFERED, timeout=60)
-    assert (result.returncode, result.stderr) == (5, b"")
-    assert result.stdout == (GOLDEN / "classify_rotation1_noise.txt").read_bytes()
-
-
-# Runs the CLI in a fresh interpreter; the last stderr line lists the modules that lorentzpol's
-# import and run add: the host's `site` may have loaded some (pathlib, say) before lorentzpol runs.
-IMPORT_PROBE = ("import sys; before = set(sys.modules); from lorentzpol.cli import main; "
-                "code = main(sys.argv[1:]); print(*sorted(set(sys.modules) - before), file=sys.stderr); "
-                "sys.exit(code)")
-HEAVY = {"dataclasses", "inspect", "numpy", "pathlib"}
-
-
-def _import_probe(*argv, watch=HEAVY):
-    """Exit code, stderr before the module line, and the watched modules the run added."""
-    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, text=True,
-                            timeout=60)
-    *stderr, added = result.stderr.split("\n")[:-1]
-    return result.returncode, stderr, watch & set(added.split())
-
-
 def test_import_loads_no_numpy():
-    # import and build the parser, run no command
-    assert _import_probe("--help") == (0, [], set())
+    # import and build the parser, run no command: (exit code, stderr) is (0, b"") unless a blocked import ran
+    assert run_process("--help")[::2] == (0, b"")
 
 
 @pytest.mark.parametrize("element, model, code", [
@@ -765,9 +657,7 @@ def test_recover_and_classify_load_no_numpy(tmp_path, element, model, code):
         argv = ("classify", str(path))
     else:
         argv = ("recover", str(path), "--model", model)
-    returncode, stderr, added = _import_probe(*argv)
-    assert returncode == code, stderr
-    assert added <= ({"pathlib"} if model == "batch" else set())
+    assert run_process(*argv, allow=("pathlib",) if model == "batch" else ())[::2] == (code, b"")
 
 
 SIMULATE_SPECS = pytest.mark.parametrize("spec", [
@@ -779,13 +669,13 @@ SIMULATE_SPECS = pytest.mark.parametrize("spec", [
 
 @SIMULATE_SPECS
 def test_noiseless_simulate_loads_no_numpy(spec):
-    assert _import_probe("simulate", *spec) == (0, [], set())
+    assert run_process("simulate", *spec)[::2] == (0, b"")
 
 
 @SIMULATE_SPECS
 def test_noisy_simulate_loads_no_numpy(spec):
     # the noise is lorentzpol's own stream, Box-Muller on random.Random(seed).random()
-    assert _import_probe("simulate", *spec, "--noise", "1e-3") == (0, [], set())
+    assert run_process("simulate", *spec, "--noise", "1e-3")[::2] == (0, b"")
 
 
 def test_noisy_simulate_negative_seed_keeps_numpy_error():

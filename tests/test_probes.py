@@ -74,6 +74,23 @@ def test_noise_spec_rejects_non_finite_sigma(bad):
         lp.NoiseSpec(sigma=bad)
 
 
+@pytest.mark.parametrize("sigma", [np.float32(0.01), np.float64(0.01), np.array(0.01), True],
+                         ids=["float32", "float64", "0d_array", "true"])
+def test_noise_spec_reads_sigma_as_a_float(sigma):
+    # as the intensity is read: the noisy outputs are those of the float sigma, and are floats
+    noise = lp.NoiseSpec(sigma, 7)
+    ms = lp.simulate_measurements(lp.rotation_mueller(1, 0.7), 1.0, noise)
+    assert type(noise.sigma) is float and all(type(x) is float for v in ms.stokes for x in v)
+    assert ms.stokes == lp.simulate_measurements(lp.rotation_mueller(1, 0.7), 1.0, lp.NoiseSpec(float(sigma), 7)).stokes
+
+
+@pytest.mark.parametrize("sigma", ["0.1", None, 0.1j])
+def test_noise_spec_refuses_non_real_sigma(sigma):
+    with pytest.raises(TypeError) as info:
+        lp.NoiseSpec(sigma)
+    assert "not supported" not in str(info.value)  # the converter's error, not that of sigma >= 0.0
+
+
 def test_noise_spec_checks_the_seed():
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
         lp.NoiseSpec(1e-3, -1)  # random.Random would seed it as 1
@@ -355,12 +372,15 @@ PAST_INT_LIMIT = "1" + "0" * 5000  # past int()'s 4300-digit limit for a string
     (HUGE_INT, "[1, 0, 0, 0]"), ("1", f"[{HUGE_INT}, 0, 0, 0]"),
     ('"1"', "[1, 0, 0, 0]"), ("1", '[1, "0", 0, 0]'),
     (PAST_INT_LIMIT, "[1, 0, 0, 0]"), ("true", "[1, 0, 0, 0]"), ("1", "[1, false, 0, 0]"),
+    ("1", "[1, 0, 0]"), ("1", "1"), ("1", "true"), ("1", "[[1, 0, 0, 0]]"),
 ], ids=["dict_vector", "dict_entry", "list_intensity", "huge_intensity", "huge_entry",
-        "string_intensity", "string_entry", "past_int_limit_intensity", "true_intensity", "false_entry"])
+        "string_intensity", "string_entry", "past_int_limit_intensity", "true_intensity", "false_entry",
+        "short_vector", "number_vector", "true_vector", "nested_vector"])
 def test_json_rejects_non_numeric_entries(intensity, f):
     # the TypeError or OverflowError of such an entry, or a string that float() would
-    # read, or a boolean that the constructor would, becomes the ValueError of every
-    # malformed file, and its message does not call the entry missing
+    # read, or a boolean that the constructor would, or an output of the wrong shape,
+    # becomes the ValueError of every malformed file, and its message does not call
+    # the entry missing
     text = (f'{{"intensity": {intensity}, "outputs": {{"F": {f}, "A": [1, 1, 0, 0],'
             f' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}}}')
     with pytest.raises(ValueError, match="^malformed measurement JSON: ") as info:
