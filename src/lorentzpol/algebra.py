@@ -72,9 +72,9 @@ def _square(v) -> complex:
 
 
 def _number(e, what: str, kind: type = float):
-    """One entry as a float (kind float) or complex number (kind complex) by float(), which keeps signed zeros
-    and refuses None; TypeError for a string (float() reads it) or a complex value where reals belong, also in
-    a numpy scalar or 0-d array.  An int past the float range reads as +-inf, which no input range admits."""
+    """One entry as a float (kind float) or complex number (kind complex) by float(), which keeps signed zeros;
+    TypeError naming what for a string (float() reads it), a complex value where reals belong (also in a numpy
+    scalar or 0-d array) or None and any other non-number.  An int past the float range reads as +-inf."""
     if type(e) is not float and type(e) is not int:
         e = e.tolist() if hasattr(e, "tolist") else e  # a numpy scalar or 0-d array as a Python number
         import numbers  # not on the CLI's path, whose JSON numbers are all floats
@@ -88,6 +88,8 @@ def _number(e, what: str, kind: type = float):
         x = float(e)
     except OverflowError:
         x = math.inf if e > 0 else -math.inf
+    except TypeError:  # float()'s own message names neither the input nor the rule
+        raise TypeError(f"{what} entries must be numbers, not {type(e).__name__}") from None
     return x if kind is float else complex(x)
 
 

@@ -150,8 +150,8 @@ def _write(template: str, head: tuple, numbers: list, tail: tuple = ()) -> str:
     return template % (*head, *numbers, *tail)
 
 
-def _lorentz_numbers(ms: MeasurementSet, rows: list, r: list) -> list:
-    delta, mvec, nvec, (k0, k1, k2, k3), (q1, q2, q3), deviation = recover_parameters(ms, rows)
+def _lorentz_numbers(rows: list, r: list) -> list:
+    delta, mvec, nvec, (k0, k1, k2, k3), (q1, q2, q3), deviation = recover_parameters(rows)
     return [delta, *mvec, *nvec, k0.real, k1.real, k2.real, k3.real, k0.imag, k1.imag, k2.imag, k3.imag,
             q1.real, q2.real, q3.real, q1.imag, q2.imag, q3.imag, deviation, *r]
 
@@ -174,15 +174,15 @@ def _report(ms: MeasurementSet, model: str, tol: float, rows: list, residuals: t
     if model == "rotation":
         return _write(ROTATION_REPORT, (), _rotation_numbers(ms, rows, r, tol))
     if model == "lorentz":
-        return _write(LORENTZ_REPORT, (), _lorentz_numbers(ms, rows, r))
+        return _write(LORENTZ_REPORT, (), _lorentz_numbers(rows, r))
     # auto
     classification = is_lorentzian(rows, tol)
     head = (jsonio.dumps(tol),)
     if classification is MuellerClass.LORENTZ:
-        return _write(AUTO_LORENTZ_REPORT, head, _lorentz_numbers(ms, rows, r))
+        return _write(AUTO_LORENTZ_REPORT, head, _lorentz_numbers(rows, r))
     if classification is MuellerClass.ROTATION:
         return _write(AUTO_ROTATION_REPORT, head, _rotation_numbers(ms, rows, r, tol))
-    deviation, error = verify_round_trip(ms, rows)
+    deviation, error = verify_round_trip(rows)
     numbers = [*rows[0], *rows[1], *rows[2], *rows[3], *r, normalized_max]
     if error is None:
         return _write(NOT_LORENTZIAN_REPORT, head, numbers + [deviation])

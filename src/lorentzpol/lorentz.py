@@ -1,8 +1,8 @@
 """General branch: recover the spinor and vector parameters of a
-Lorentz-type element directly from the four-probe measurements.
+Lorentz-type element from its reconstructed Mueller matrix r.
 
-The trace of the reconstructed Mueller matrix fixes the modulus delta of the
-leading parameter component (trace = 4*delta^2).  The antisymmetric part of
+The trace r00 + r11 + r22 + r33 of the reconstructed matrix fixes the modulus
+delta of the leading parameter component (trace = 4*delta^2).  The antisymmetric part of
 Lambda, the same matrix with rows 1-3 negated, has the rigid layout
 
     2*delta * | 0    -M1   -M2   -M3 |
@@ -19,15 +19,15 @@ and the vector parameter q = (M - i*N)/delta follows without the sign
 ambiguity.  delta = 0 (trace-free elements, e.g. pi rotations composed
 with boosts) is a hard singularity of the method.
 
-Recovery is a single pass over the 16 outputs, which a measurement set keeps as
-Python floats; delta, M, N, k and q come from it as Python float and complex
-scalars, arrays are built only when a caller reads them, and Lambda is never built.
-The kernels are straight-line code over unpacked local floats: each sum keeps the
-operand order of the formulas above and each max its element order, so results
-round as they always have (tests/test_kernels.py holds the earlier comprehension
-forms as references).  The kernels _recover and _round_trip take the reconstructed
-matrix as rows of floats, which the CLI computes once per set; recover_parameters
-and verify_round_trip reconstruct it and wrap the kernels' results in result objects.
+Recovery is a single pass over the rows of the reconstructed matrix, the rows that
+probes._mueller_rows builds from the outputs: with r_jk its entries, the antisymmetric
+part gives M_j = -(r_j0 + r_0j) / (4*delta) and N = (r32 - r23, r13 - r31, r21 - r12) / (4*delta),
+and q = (m - i*n) / trace from the same numerators m and n.  Only probes.py knows the
+probe layout.  delta, M, N, k and q come out as Python float and complex scalars, arrays
+are built only when a caller reads them, and Lambda is never built.  The kernels
+_read, _extract, _recover and _round_trip take the rows, which the CLI computes once per
+set; the public functions reconstruct them and wrap the kernels' results.  tests/test_kernels.py
+checks the kernels bit for bit against comprehension forms.
 """
 
 from __future__ import annotations
@@ -83,53 +83,47 @@ class RoundTripReport(_Value):
         object.__setattr__(self, "error", error)
 
 
-def _read(ms: MeasurementSet) -> tuple[float, list, list, list]:
-    """The 16 outputs read once as floats: the trace sum and the numerators
-    of M, N and Im q (the last grouped as in recover_q's formula)."""
-    (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = ms.stokes
-    trace_sum = f0 + (a1 - f1) + (b2 - f2) + (c3 - f3)
-    m = [f0 - f1 - a0, f0 - f2 - b0, f0 - f3 - c0]
-    n = [f2 - f3 - c2 + b3, f3 - f1 - a3 + c1, f1 - f2 - b1 + a2]
-    q_im = [(f2 - f3) - (c2 - b3), (f3 - f1) - (a3 - c1), (f1 - f2) - (b1 - a2)]
-    return trace_sum, m, n, q_im
+def _read(rows: list) -> tuple[float, list, list]:
+    """The trace of the reconstructed matrix and the numerators of M and N, read off its rows."""
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = rows
+    trace = r00 + r11 + r22 + r33
+    m = [0.0 - (r10 + r01), 0.0 - (r20 + r02), 0.0 - (r30 + r03)]  # 0.0 - keeps +0.0 where both entries vanish
+    n = [r32 - r23, r13 - r31, r21 - r12]
+    return trace, m, n
 
 
-def _delta(trace_sum: float, intensity: float) -> float:
-    ratio = trace_sum / intensity
-    if ratio <= 1e-10:
-        raise DegenerateTrace(
-            f"matrix trace {ratio!r} is not positive; cannot extract delta"
-        )
-    return math.sqrt(ratio) / 2.0
+def _delta(trace: float) -> float:
+    if trace <= 1e-10:
+        raise DegenerateTrace(f"matrix trace {trace!r} is not positive; cannot extract delta")
+    return math.sqrt(trace) / 2.0
 
 
 def delta_from_trace(ms: MeasurementSet) -> float:
     """Modulus of the leading spinor component from the matrix trace.
 
-    trace = 4*delta^2, so delta = sqrt(trace_sum / I) / 2 with the positive
-    root.  Raises DegenerateTrace when trace_sum / I <= 1e-10: the rest of
-    the extraction divides by delta.
+    trace = r00 + r11 + r22 + r33 = 4*delta^2 on the reconstructed matrix, so
+    delta = sqrt(trace) / 2 with the positive root.  Raises DegenerateTrace
+    when trace <= 1e-10: the rest of the extraction divides by delta.
     """
-    return _delta(_read(ms)[0], ms.intensity)
+    return _delta(_read(_mueller_rows(ms))[0])
 
 
 def mn_from_antisymmetric(ms: MeasurementSet, delta: float) -> tuple:
     """Boost vector M and rotation vector N from the antisymmetric part."""
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    _, m, n, _ = _read(ms)
-    scale = 4.0 * ms.intensity * delta
+    _, m, n = _read(_mueller_rows(ms))
+    scale = 4.0 * delta
     return _array([x / scale for x in m]), _array([x / scale for x in n])
 
 
-def _extract(ms: MeasurementSet) -> tuple[float, float, list, list, list]:
-    """The single pass: (trace_sum, delta, M, N, q) from one read; M, N, q as lists."""
-    trace_sum, (m1, m2, m3), (n1, n2, n3), (p1, p2, p3) = _read(ms)
-    delta = _delta(trace_sum, ms.intensity)
-    scale = 4.0 * ms.intensity * delta
-    # q = (m - i*q_im) / trace_sum
-    q = [complex(m1, 0.0 - p1) / trace_sum, complex(m2, 0.0 - p2) / trace_sum, complex(m3, 0.0 - p3) / trace_sum]
-    return trace_sum, delta, [m1 / scale, m2 / scale, m3 / scale], [n1 / scale, n2 / scale, n3 / scale], q
+def _extract(rows: list) -> tuple[float, list, list, list]:
+    """The single pass: (delta, M, N, q) from one read of the rows; M, N, q as lists."""
+    trace, (m1, m2, m3), (n1, n2, n3) = _read(rows)
+    delta = _delta(trace)
+    scale = 4.0 * delta
+    q = [complex(m1, 0.0 - n1) / trace, complex(m2, 0.0 - n2) / trace, complex(m3, 0.0 - n3) / trace]
+    return delta, [m1 / scale, m2 / scale, m3 / scale], [n1 / scale, n2 / scale, n3 / scale], q
 
 
 def _assemble_k(delta: float, mvec: list, nvec: list) -> list:
@@ -146,31 +140,31 @@ def _assemble_k(delta: float, mvec: list, nvec: list) -> list:
 
 def recover_k(ms: MeasurementSet):
     """Normalized spinor parameter of the measured element, canonical sign."""
-    _, delta, mvec, nvec, _ = _extract(ms)
+    delta, mvec, nvec, _ = _extract(_mueller_rows(ms))
     return _array(_assemble_k(delta, mvec, nvec))
 
 
 def recover_q(ms: MeasurementSet):
-    """Vector parameter q straight from the measured Stokes vectors.
+    """Vector parameter q from the reconstructed matrix r.
 
-    Componentwise (trace_sum in the denominator throughout):
+    Componentwise, with trace = r00 + r11 + r22 + r33 throughout:
 
-        q1 = [(F0 - F1 - A0) - i*((F2 - F3) - (C2 - B3))] / trace_sum
-        q2 = [(F0 - F2 - B0) - i*((F3 - F1) - (A3 - C1))] / trace_sum
-        q3 = [(F0 - F3 - C0) - i*((F1 - F2) - (B1 - A2))] / trace_sum
+        q1 = [-(r10 + r01) - i*(r32 - r23)] / trace
+        q2 = [-(r20 + r02) - i*(r13 - r31)] / trace
+        q3 = [-(r30 + r03) - i*(r21 - r12)] / trace
 
     Equal to (M - i*N)/delta, and consistent with recover_k through
     i*q = kvec/k0.  Shares the degeneracy guards of recover_k.
     """
-    _, delta, mvec, nvec, q = _extract(ms)
+    delta, mvec, nvec, q = _extract(_mueller_rows(ms))
     _assemble_k(delta, mvec, nvec)  # parity with recover_k's singularity guard
     return _array(q)
 
 
-def _recover(ms: MeasurementSet, rows: list) -> tuple:
-    """(delta, M, N, k, q, deviation): the recovery, and the max elementwise
-    deviation of the matrix rebuilt from k from rows, the reconstructed matrix."""
-    _, delta, mvec, nvec, q = _extract(ms)
+def _recover(rows: list) -> tuple:
+    """(delta, M, N, k, q, deviation): the recovery from rows, the reconstructed matrix,
+    and the max elementwise deviation of the matrix rebuilt from k from rows."""
+    delta, mvec, nvec, q = _extract(rows)
     k = _assemble_k(delta, mvec, nvec)
     return delta, mvec, nvec, k, q, _max_deviation(_lorentz_entries(k), rows)
 
@@ -178,26 +172,26 @@ def _recover(ms: MeasurementSet, rows: list) -> tuple:
 def recover_parameters(ms: MeasurementSet) -> RecoveryResult:
     """Run the whole chain and quantify the rebuild error.
 
-    Recovers (delta, M, N, k, q) in one pass over the outputs, rebuilds the
+    Recovers (delta, M, N, k, q) in one pass over the reconstructed matrix, rebuilds the
     matrix from k, and reports the max elementwise deviation from the
     directly reconstructed matrix together with the Minkowski residuals of
     the raw measurements.
     """
-    delta, mvec, nvec, k, q, deviation = _recover(ms, _mueller_rows(ms))
+    delta, mvec, nvec, k, q, deviation = _recover(_mueller_rows(ms))
     return RecoveryResult(delta, (mvec, nvec, k, q), deviation, lorentz_residuals(ms))
 
 
-def _round_trip(ms: MeasurementSet, rows: list) -> tuple[float | None, str | None]:
+def _round_trip(rows: list) -> tuple[float | None, str | None]:
     """(deviation, None) from _recover, or (None, "ErrorName: message") where it raises."""
     try:
-        return _recover(ms, rows)[5], None
+        return _recover(rows)[5], None
     except LorentzpolError as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
 def verify_round_trip(ms: MeasurementSet, tol: float = 1e-9) -> RoundTripReport:
     """Round-trip check that never raises: recovery errors go in the report."""
-    deviation, error = _round_trip(ms, _mueller_rows(ms))
+    deviation, error = _round_trip(_mueller_rows(ms))
     return RoundTripReport(
         passed=error is None and deviation < tol,
         max_deviation=deviation,

@@ -25,8 +25,8 @@ from . import jsonio
 from .algebra import _Value, _array, _array_view, _number, _numbers
 from .errors import NonPositiveIntensity
 
-# Accepted: I in INTENSITY_RANGE, max|output| <= MAX_OUTPUT_RATIO * I.  Then no intermediate of the
-# chain overflows (outputs^2 <= 1e300) and no divisor (I^2, trace sum, 4*I*delta) underflows to 0.
+# Accepted: I in INTENSITY_RANGE, max|output| <= MAX_OUTPUT_RATIO * I.  Then no intermediate of the chain
+# overflows (outputs^2 <= 1e300) and no divisor (I, I^2, trace > 1e-10, 4*delta > 2e-5) underflows to 0.
 INTENSITY_RANGE = (1e-100, 1e100)
 MAX_OUTPUT_RATIO = 1e50
 

@@ -21,7 +21,7 @@ def _measure(matrix, intensity=1.0):
 def test_delta_from_trace_values():
     assert lp.delta_from_trace(_measure(np.eye(4))) == 1.0
     delta = lp.delta_from_trace(_measure(lp.boost_mueller(3, LN2)))
-    # trace sum is 2(cosh + 1) = 4.5
+    # the trace is 2(cosh + 1) = 4.5
     assert delta == pytest.approx(np.sqrt(4.5) / 2.0, abs=1e-14)
     assert delta == pytest.approx(np.cosh(LN2 / 2.0), abs=1e-14)
 
@@ -33,7 +33,7 @@ def test_delta_from_trace_degenerate():
 
 @pytest.mark.parametrize("gap, singular", [(2e-5, False), (5e-6, True)])
 def test_delta_from_trace_documented_boundary(gap, singular):
-    # trace_sum / I = (pi - theta)^2 for a rotation near pi; the cut is 1e-10
+    # the trace of the reconstructed matrix is (pi - theta)^2 for a rotation near pi; the cut is 1e-10
     ms = _measure(lp.rotation_mueller(2, np.pi - gap))
     if singular:
         with pytest.raises(lp.DegenerateTrace):
@@ -139,7 +139,7 @@ def test_mn_split_real_k_vs_boost(q):
     k_real = lp.canonical_spinor_sign(k.real.astype(complex))
     k_real /= np.sqrt(lp.spinor_norm(k_real))
     ms = _measure(lp.lorentz_from_k(k_real))
-    if 4.0 * k_real[0].real ** 2 <= 1e-10:  # trace_sum / I = 4*k0^2 at or below the cut
+    if 4.0 * k_real[0].real ** 2 <= 1e-10:  # the trace, 4*k0^2, at or below the cut
         with pytest.raises(lp.DegenerateTrace):
             lp.delta_from_trace(ms)
         return
@@ -232,26 +232,22 @@ def test_one_pass_parity_with_stage_functions(ms):
 @settings(max_examples=200)
 @given(measurement_sets())
 def test_one_pass_matches_componentwise_formulas(ms):
-    # the formula of recover_q's docstring, term by term
-    f, a, b, c = ms.f, ms.a, ms.b, ms.c
-    trace_sum = float(f[0] + (a[1] - f[1]) + (b[2] - f[2]) + (c[3] - f[3]))
-    re = [f[0] - f[1] - a[0], f[0] - f[2] - b[0], f[0] - f[3] - c[0]]
-    im = [(f[2] - f[3]) - (c[2] - b[3]), (f[3] - f[1]) - (a[3] - c[1]), (f[1] - f[2]) - (b[1] - a[2])]
+    # the formula of recover_q's docstring, term by term, on the reconstructed matrix
+    r = lp.reconstruct_mueller(ms).tolist()
+    trace = r[0][0] + r[1][1] + r[2][2] + r[3][3]
+    re = [0.0 - (r[1][0] + r[0][1]), 0.0 - (r[2][0] + r[0][2]), 0.0 - (r[3][0] + r[0][3])]
+    im = [r[3][2] - r[2][3], r[1][3] - r[3][1], r[2][1] - r[1][2]]
     q = lp.recover_q(ms)
     # divided as Python complex scalars, bit for bit; numpy's array division within a few eps
-    assert _bits(q) == _bits([complex(x, 0.0 - y) / trace_sum for x, y in zip(re, im)])
-    assert np.abs(q - (np.array(re) - 1j * np.array(im)) / trace_sum).max() <= 4 * EPS * np.abs(q).max()
-    # the antisymmetric layout of the module docstring, scaled by 4*I*delta
+    assert _bits(q) == _bits([complex(x, 0.0 - y) / trace for x, y in zip(re, im)])
+    assert np.abs(q - (np.array(re) - 1j * np.array(im)) / trace).max() <= 4 * EPS * np.abs(q).max()
+    # the antisymmetric layout of the module docstring, scaled by 4*delta
     result = lp.recover_parameters(ms)
-    # delta pins the trace sum, with q above
-    assert _bits(result.delta) == _bits(math.sqrt(trace_sum / ms.intensity) / 2.0)
-    scale = 4.0 * ms.intensity * result.delta
-    assert _bits(result.mvec) == _bits(np.array([
-        f[0] - f[1] - a[0], f[0] - f[2] - b[0], f[0] - f[3] - c[0],
-    ]) / scale)
-    assert _bits(result.nvec) == _bits(np.array([
-        f[2] - f[3] - c[2] + b[3], f[3] - f[1] - a[3] + c[1], f[1] - f[2] - b[1] + a[2],
-    ]) / scale)
+    # delta pins the trace, with q above
+    assert _bits(result.delta) == _bits(math.sqrt(trace) / 2.0)
+    scale = 4.0 * result.delta
+    assert _bits(result.mvec) == _bits(np.array(re) / scale)
+    assert _bits(result.nvec) == _bits(np.array(im) / scale)
     # and (M - iN)/delta up to rounding
     assert np.abs(q - (result.mvec - 1j * result.nvec) / result.delta).max() < 1e-12
 
@@ -261,17 +257,18 @@ def test_one_pass_matches_componentwise_formulas(ms):
        st.floats(0.25, 4.0))
 @example(offdiag=[0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -3.0, 0.0, 0.5], intensity=0.25)
 def test_q_division_matches_numpy_on_signed_zeros(offdiag, intensity):
-    # q is (m - i*q_im) / trace_sum in Python complex arithmetic, signed zeros included;
-    # the array expression of earlier releases agrees within a few eps of the scale
+    # q is (m - i*n) / trace in Python complex arithmetic on the rows, signed zeros included;
+    # the array expression agrees within a few eps of the scale
     outputs = np.diag([4.0, 4.0, 4.0, 4.0]) * intensity
     outputs[~np.eye(4, dtype=bool)] = offdiag
     outputs[0, 0] = 2.0 * intensity
     ms = lp.MeasurementSet(intensity, *outputs)
-    (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = outputs.tolist()
-    trace_sum = f0 + (a1 - f1) + (b2 - f2) + (c3 - f3)
-    m = [f0 - f1 - a0, f0 - f2 - b0, f0 - f3 - c0]
-    q_im = [(f2 - f3) - (c2 - b3), (f3 - f1) - (a3 - c1), (f1 - f2) - (b1 - a2)]
-    expected = [complex(x, 0.0 - y) / trace_sum for x, y in zip(m, q_im)]
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = \
+        lp.reconstruct_mueller(ms).tolist()
+    trace = r00 + r11 + r22 + r33
+    m = [0.0 - (r10 + r01), 0.0 - (r20 + r02), 0.0 - (r30 + r03)]
+    n = [r32 - r23, r13 - r31, r21 - r12]
+    expected = [complex(x, 0.0 - y) / trace for x, y in zip(m, n)]
     try:
         q = lp.recover_q(ms)
     except lp.SingularNormalization:
@@ -282,5 +279,5 @@ def test_q_division_matches_numpy_on_signed_zeros(offdiag, intensity):
         return
     assert _bits(q) == _bits(expected)
     assert _bits(lp.recover_parameters(ms).q) == _bits(expected)
-    numpy_q = (np.array(m) - 1j * np.array(q_im)) / trace_sum
+    numpy_q = (np.array(m) - 1j * np.array(n)) / trace
     assert np.abs(q - numpy_q).max() <= 4 * EPS * np.abs(numpy_q).max()

@@ -205,10 +205,13 @@ def test_null_entry_is_malformed_json():
     # null read as NaN and failed the envelope; it is no number
     text = ('{"intensity": 1, "outputs": {"F": [1, 0, 0, null], "A": [1, 1, 0, 0], "B": [1, 0, 1, 0],'
             ' "C": [1, 0, 0, 1]}}')
-    with pytest.raises(ValueError, match="^malformed measurement JSON: float.. argument .* not 'NoneType'"):
+    with pytest.raises(ValueError, match="^malformed measurement JSON: Stokes vector entries must be numbers, "
+                                         "not NoneType$"):
         lp.MeasurementSet.from_json(text)
-    with pytest.raises(TypeError, match="not 'NoneType'"):
+    with pytest.raises(TypeError, match="^Stokes vector entries must be numbers, not NoneType$"):
         lp.MeasurementSet(1.0, [1, 0, 0, None], *GOOD[1:])
+    with pytest.raises(TypeError, match="^intensity entries must be numbers, not NoneType$"):
+        lp.MeasurementSet(None, *GOOD)
 
 
 def test_measurement_set_reads_bools_and_numpy_scalars():
