@@ -35,13 +35,14 @@ from .algebra import (MuellerClass, _boost_element, _check_tolerance, _k_from_q,
                       _norm2, _rotation_element)
 from .errors import LorentzpolError
 from .probes import MeasurementSet, NoiseSpec, _simulate
+from .rotation import _require_rotation
 
 # The chain calls its stages by the names of the public functions whose work they do, the
 # names benchmark/run.py traces on this module.  Each is bound to that function's float kernel,
 # straight-line code over unpacked floats: reconstruct_mueller and lorentz_residuals run once per
 # set, and the classification, recovery and round-trip kernels take the rows they made, so that
 # nothing is computed twice and no array or result object is built.  Each name stays one call per
-# set, so that a traced run times every stage on its own.
+# set, so that a traced run times every stage on its own; the rotation kernels leave their gates to is_lorentzian.
 from .algebra import _classify as is_lorentzian, _embed as embed_rotation, _rotation_rows as quaternion_to_rotation
 from .lorentz import _recover as recover_parameters, _round_trip as verify_round_trip
 from .probes import _mueller_rows as reconstruct_mueller, _residuals as lorentz_residuals
@@ -143,10 +144,9 @@ CLASSIFY_LINE = f"%s residuals={_list(4)} max_normalized={jsonio.NUMBER} tol=%g"
 
 
 def _write(template: str, head: tuple, numbers: list, tail: tuple = ()) -> str:
-    """template % (*head, *numbers, *tail); a non-finite number raises jsonio's ValueError,
-    as jsonio.dumps does on the report's dict."""
-    if not all(map(math.isfinite, numbers)):
-        jsonio.dumps(numbers)  # raises ValueError: non-finite number in JSON output
+    """template % (*head, *numbers, *tail); a non-finite number raises jsonio.dumps's ValueError."""
+    if not all(map(math.isfinite, numbers)):  # then min by isfinite is the first non-finite number
+        raise ValueError("non-finite number in JSON output: %r" % min(numbers, key=math.isfinite))
     return template % (*head, *numbers, *tail)
 
 
@@ -156,10 +156,8 @@ def _lorentz_numbers(rows: list, r: list) -> list:
             q1.real, q2.real, q3.real, q1.imag, q2.imag, q3.imag, deviation, *r]
 
 
-def _rotation_numbers(ms: MeasurementSet, rows: list, r: list, tol: float) -> list:
-    block = rotation_from_measurements(ms, tol)
-    # a loose --tol admits noisy data, so loosen the extraction gate with it
-    quaternion = recover_quaternion(block, ortho_tol=max(1e-6, tol))
+def _rotation_numbers(ms: MeasurementSet, rows: list, r: list) -> list:
+    quaternion = recover_quaternion(rotation_from_measurements(ms))
     norm = math.sqrt(_norm2(quaternion))
     rebuilt = embed_rotation(quaternion_to_rotation([x / norm for x in quaternion]))
     return [*quaternion, _max_deviation(rebuilt[0] + rebuilt[1] + rebuilt[2] + rebuilt[3], rows), *r]
@@ -171,17 +169,17 @@ def _report(ms: MeasurementSet, model: str, tol: float, rows: list, residuals: t
     r, normalized_max = residuals
     if model == "raw":
         return _write(RAW_REPORT, (), [*rows[0], *rows[1], *rows[2], *rows[3]])
-    if model == "rotation":
-        return _write(ROTATION_REPORT, (), _rotation_numbers(ms, rows, r, tol))
     if model == "lorentz":
         return _write(LORENTZ_REPORT, (), _lorentz_numbers(rows, r))
-    # auto
     classification = is_lorentzian(rows, tol)
+    if model == "rotation":
+        _require_rotation(classification, tol)
+        return _write(ROTATION_REPORT, (), _rotation_numbers(ms, rows, r))
     head = (jsonio.dumps(tol),)
     if classification is MuellerClass.LORENTZ:
         return _write(AUTO_LORENTZ_REPORT, head, _lorentz_numbers(rows, r))
     if classification is MuellerClass.ROTATION:
-        return _write(AUTO_ROTATION_REPORT, head, _rotation_numbers(ms, rows, r, tol))
+        return _write(AUTO_ROTATION_REPORT, head, _rotation_numbers(ms, rows, r))
     deviation, error = verify_round_trip(rows)
     numbers = [*rows[0], *rows[1], *rows[2], *rows[3], *r, normalized_max]
     if error is None:

@@ -29,7 +29,7 @@ class NonPositiveIntensity(LorentzpolError):
 
 
 class NotRotationType(LorentzpolError):
-    """Measurements carry boost content; the rotation branch does not apply; exit 5."""
+    """Measurements do not classify as rotation-type; the rotation branch does not apply; exit 5."""
 
     exit_code = 5
 

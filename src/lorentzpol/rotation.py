@@ -3,56 +3,47 @@
 For rotation-type elements the natural probe passes through unchanged and
 the three polarized probes keep their full intensity, so the 3x3 block is
 read off directly; the quaternion follows from its trace and antisymmetric
-part.
+part.  Whether a set is rotation-type is is_lorentzian's decision alone.
 """
 
 from __future__ import annotations
 
 import math
 
-from .algebra import _array, _check_tolerance, _numbers
+from .algebra import MuellerClass, _array, _check_tolerance, _classify, _numbers
 from .errors import NearPiRotation, NotRotation, NotRotationType
-from .probes import MeasurementSet
+from .probes import MeasurementSet, _mueller_rows
 
 
-def _rotation_block(ms: MeasurementSet, tol: float) -> list:
+def _require_rotation(classification: MuellerClass, tol: float) -> None:
+    """The rotation branch's gate: raises NotRotationType unless the set classifies as rotation."""
+    if classification is not MuellerClass.ROTATION:
+        raise NotRotationType(f"measurements classify as {classification.value} at tol {tol:g}, not rotation")
+
+
+def _rotation_block(ms: MeasurementSet) -> list:
     i = ms.intensity
-    (f0, f1, f2, f3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = ms.stokes
-    dev = max(abs(f0 - i), abs(f1), abs(f2), abs(f3), abs(a0 - i), abs(b0 - i), abs(c0 - i))
-    if dev > tol * i:
-        raise NotRotationType(
-            f"measurements deviate from rotation form by {dev / i:.3e} relative"
-        )
+    _, (_, a1, a2, a3), (_, b1, b2, b3), (_, c1, c2, c3) = ms.stokes
     return [[a1 / i, b1 / i, c1 / i], [a2 / i, b2 / i, c2 / i], [a3 / i, b3 / i, c3 / i]]
 
 
 def rotation_from_measurements(ms: MeasurementSet, tol: float = 1e-9):
-    """3x3 rotation block of a rotation-type element, columns = output triad.
+    """3x3 rotation block of a rotation-type element, columns = output triad A/I, B/I, C/I.
 
-    Raises NotRotationType when the natural probe acquires polarization or
-    any probe intensity changes by more than tol relative to I, which
-    signals boost content, and ValueError unless tol is finite and positive.
+    Raises NotRotationType unless is_lorentzian(reconstruct_mueller(ms), tol)
+    is ROTATION, the gate `recover --model auto` and `--model rotation` apply
+    too, and ValueError unless tol is finite and positive.
     """
-    return _array(_rotation_block(ms, _check_tolerance(tol)))
+    tol = _check_tolerance(tol)
+    _require_rotation(_classify(_mueller_rows(ms), tol), tol)
+    return _array(_rotation_block(ms))
 
 
-def _quaternion(rows: list, ortho_tol: float = 1e-6) -> list:
+def _quaternion(rows: list) -> list:
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
-    # |(R^T R - 1)[i, j]| for j >= i, the diagonal first, and det R along the first row
-    ortho_dev = max(
-        abs(r00 * r00 + r10 * r10 + r20 * r20 - 1.0), abs(r01 * r01 + r11 * r11 + r21 * r21 - 1.0),
-        abs(r02 * r02 + r12 * r12 + r22 * r22 - 1.0), abs(r00 * r01 + r10 * r11 + r20 * r21),
-        abs(r00 * r02 + r10 * r12 + r20 * r22), abs(r01 * r02 + r11 * r12 + r21 * r22))
-    det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
-    if not (ortho_dev <= ortho_tol and abs(det - 1.0) <= ortho_tol):
-        raise NotRotation(
-            f"not a proper rotation: |R^T R - 1| = {ortho_dev:.3e}, det = {det:.6f}"
-        )
     trace1 = r00 + r11 + r22 + 1.0
     if trace1 <= 1e-8:
-        raise NearPiRotation(
-            f"trace + 1 = {trace1:.3e}: extraction singular near pi rotations"
-        )
+        raise NearPiRotation(f"trace + 1 = {trace1:.3e}: extraction singular near pi rotations")
     s = math.sqrt(trace1)
     return [s / 2.0, (r21 - r12) / (2.0 * s), (r02 - r20) / (2.0 * s), (r10 - r01) / (2.0 * s)]
 
@@ -73,9 +64,19 @@ def recover_quaternion(r, ortho_tol: float = 1e-6):
 
     Raises ValueError unless ortho_tol is finite and positive, NotRotation
     when a triad condition fails, and NearPiRotation when trace + 1 <= 1e-8,
-    where this extraction divides by zero (rotations by pi).
+    where this extraction divides by zero (rotations within about 1e-4 rad of pi).
     """
-    return _array(_quaternion(_numbers(r, (3, 3), "rotation matrix"), _check_tolerance(ortho_tol)))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows = _numbers(r, (3, 3), "rotation matrix")
+    ortho_tol = _check_tolerance(ortho_tol)
+    # |(R^T R - 1)[i, j]| for j >= i, the diagonal first, and det R along the first row
+    ortho_dev = max(
+        abs(r00 * r00 + r10 * r10 + r20 * r20 - 1.0), abs(r01 * r01 + r11 * r11 + r21 * r21 - 1.0),
+        abs(r02 * r02 + r12 * r12 + r22 * r22 - 1.0), abs(r00 * r01 + r10 * r11 + r20 * r21),
+        abs(r00 * r02 + r10 * r12 + r20 * r22), abs(r01 * r02 + r11 * r12 + r21 * r22))
+    det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
+    if not (ortho_dev <= ortho_tol and abs(det - 1.0) <= ortho_tol):
+        raise NotRotation(f"not a proper rotation: |R^T R - 1| = {ortho_dev:.3e}, det = {det:.6f}")
+    return _array(_quaternion(rows))
 
 
 def rotation_identity_sum(r) -> float:

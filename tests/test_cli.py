@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -414,8 +415,10 @@ def _reference_recover(ms, model, tol):
     residuals = lp.lorentz_residuals(ms)
 
     def rotation():
+        # rotation_from_measurements applies the one rotation gate, is_lorentzian's.  The CLI applies no
+        # triad gate; one at 1 passes every triad the classifier calls rotation at tol <= 1e-3
         block = lp.rotation_from_measurements(ms, tol)
-        quaternion = lp.recover_quaternion(block, ortho_tol=max(1e-6, tol)).tolist()
+        quaternion = lp.recover_quaternion(block, ortho_tol=1.0).tolist()
         n0, n1, n2, n3 = quaternion
         norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3)
         rebuilt = lp.embed_rotation(lp.quaternion_to_rotation([x / norm for x in quaternion]))
@@ -493,6 +496,34 @@ def test_report_writer_gives_the_bytes_of_the_reference(ms, model, tol):
         code, out, err = cli._recover_one("-", model, tol)
     assert (code, out or err) == _reference_recover(ms, model, tol)
     assert (out == "") == (code != 0)
+
+
+@st.composite
+def noisy_rotations(draw):
+    """A rotation measured with noise up to sigma/I = 4e-4, read back through its JSON text."""
+    element = lp.embed_rotation(lp.quaternion_to_rotation(draw(unit_quaternions())))
+    intensity = draw(st.floats(0.5, 2.0))
+    noise = lp.NoiseSpec(draw(st.floats(0.0, 4e-4)) * intensity, draw(st.integers(0, 2**31 - 1)))
+    return lp.MeasurementSet.from_json(lp.simulate_measurements(element, intensity, noise).to_json())
+
+
+@settings(max_examples=300)
+@given(noisy_rotations())
+# `simulate --rotation 1 --theta 0.4 --noise 0.0002 --seed 3`: classify said rotation, and both
+# recover runs exited 5 with NotRotation when the rotation branch had gates of its own
+@example(_read_back(lp.rotation_mueller(1, 0.4), lp.NoiseSpec(2e-4, 3)))
+def test_classify_auto_and_rotation_share_one_rotation_gate(ms):
+    text = ms.to_json()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(io.StringIO()):
+        classified = cli.main(["classify", "-", "--tol", "1e-3"]) == 1
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        code, out, err = cli._recover_one("-", "auto", 1e-3)
+    auto = (code == 0 and json.loads(out)["classification"] == "rotation"
+            or code == 4 and json.loads(err)["error"].startswith("NearPiRotation: "))
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        code, _, err = cli._recover_one("-", "rotation", 1e-3)
+    assert code in (0, 4, 5), err
+    assert classified == auto == (code in (0, 4))
 
 
 @pytest.mark.parametrize("model", ["auto", "lorentz", "rotation", "raw"])

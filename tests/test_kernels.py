@@ -69,6 +69,7 @@ def ref_ortho_dev(rows):
 
 
 def ref_quaternion(rows, ortho_tol=1e-6):
+    """recover_quaternion's triad gate, then the extraction."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     ortho_dev = ref_ortho_dev(rows)
     det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
@@ -76,6 +77,12 @@ def ref_quaternion(rows, ortho_tol=1e-6):
         raise NotRotation(
             f"not a proper rotation: |R^T R - 1| = {ortho_dev:.3e}, det = {det:.6f}"
         )
+    return ref_extraction(rows)
+
+
+def ref_extraction(rows):
+    """The quaternion from the trace and the antisymmetric part, as the CLI's kernel takes it."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     trace1 = r00 + r11 + r22 + 1.0
     if trace1 <= 1e-8:
         raise NearPiRotation(
@@ -316,7 +323,7 @@ def test_recover_quaternion_matches_reference(data, rows):
         return np.array(ref_quaternion(checked, _check_tolerance(ortho_tol)))
 
     assert outcome(lp.recover_quaternion, *args) == outcome(reference)
-    assert outcome(rotation._quaternion, *args) == outcome(ref_quaternion, *args)
+    assert outcome(rotation._quaternion, rows) == outcome(ref_extraction, rows)
 
 
 @settings(max_examples=400)

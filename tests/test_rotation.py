@@ -40,9 +40,23 @@ def test_rotation_from_measurements_rejects_boost():
         lp.rotation_from_measurements(ms)
 
 
+def test_rotation_from_measurements_gate_is_the_classifier():
+    # a noisy retarder: rotation-type at tol 1e-3, not Lorentz-type at 1e-9
+    ms = lp.simulate_measurements(lp.rotation_mueller(1, 0.4), 1.0, lp.NoiseSpec(2e-4, 3))
+    assert lp.is_lorentzian(lp.reconstruct_mueller(ms), 1e-3) is lp.MuellerClass.ROTATION
+    expected = np.column_stack([ms.a[1:], ms.b[1:], ms.c[1:]]) / ms.intensity
+    assert lp.rotation_from_measurements(ms, 1e-3).tobytes() == expected.tobytes()
+    with pytest.raises(lp.NotRotationType, match=r"^measurements classify as not-lorentzian at tol 1e-09, "
+                                                  r"not rotation$"):
+        lp.rotation_from_measurements(ms)
+    boost = lp.simulate_measurements(lp.boost_mueller(3, 0.5), 1.0)
+    with pytest.raises(lp.NotRotationType, match=r"^measurements classify as lorentz at tol 0\.001, not rotation$"):
+        lp.rotation_from_measurements(boost, 1e-3)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 def test_rotation_from_measurements_rejects_bad_tolerance(tol):
-    # a NaN tol used to let a boost through: dev > nan * I is False
+    # refused before the classifier, where every comparison with a NaN tol is False
     ms = lp.simulate_measurements(lp.boost_mueller(3, np.log(2.0)), 1.0)
     with pytest.raises(ValueError, match="finite and positive"):
         lp.rotation_from_measurements(ms, tol=tol)
