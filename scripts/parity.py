@@ -12,9 +12,9 @@ branch of `recover`: general elements from a complex q, boosts, rotations,
 half-wave plates (near-pi, exit 4), trace-free elements (degenerate trace,
 exit 4), noisy sets at sigma/I = 1e-6 and 1e-4, dense non-Lorentz matrices,
 and out-of-envelope or malformed files (exit 2).  Every set goes through
-`cli._recover_one` under each `--model` at `--tol 1e-9`, through `--model auto`
-and `--model rotation` at `--tol 1e-3`, through `classify` and through
-`from_json(text).to_json()`.
+`cli._recover_one` under each `--model` at `--tol 1e-9`, through `--model auto`,
+`--model lorentz` and `--model rotation` at `--tol 1e-3`, through `classify` and
+through `from_json(text).to_json()`.
 N/2 forward sets build an element with each tree's own constructions and
 compare the `simulate` JSON text; differing texts are counted by element kind.
 Last, each tree runs as `python -m` processes: `recover --model auto` on the
@@ -61,7 +61,8 @@ RECOVER_DECK = (
 )
 FORWARD_KINDS = ("general", "rotation", "boost")
 FORWARD_NOISE = (0.0, 0.0, 1e-6, 1e-4)  # sigma/I, cycled over the forward sets
-RUNS = (("auto", 1e-9), ("lorentz", 1e-9), ("rotation", 1e-9), ("raw", 1e-9), ("auto", 1e-3), ("rotation", 1e-3))
+RUNS = (("auto", 1e-9), ("lorentz", 1e-9), ("rotation", 1e-9), ("raw", 1e-9), ("auto", 1e-3), ("lorentz", 1e-3),
+        ("rotation", 1e-3))
 INVALID_TEXTS = (
     '{"intensity": 1, "outputs": {"F": [NaN, 0, 0, 0], "A": [1, 1, 0, 0], "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',
     '{"intensity": 1, "outputs": {"F": [1e200, 0, 0, 0], "A": [1, 1, 0, 0], "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',

@@ -36,7 +36,7 @@ import enum
 import math
 import operator
 
-from .errors import NonRealResult, NormViolation, SingularParameter
+from .errors import NonRealResult, NormViolation, NotLorentzType, NotRotationType, SingularParameter
 
 
 class MuellerClass(enum.Enum):
@@ -399,3 +399,10 @@ def _classify(rows: list, tol: float) -> MuellerClass:
     if edge < tol * max(1.0, scale):
         return MuellerClass.ROTATION
     return MuellerClass.LORENTZ
+
+
+def _require(classification: MuellerClass, model: str, tol: float) -> None:
+    """recover's one Lorentz-type gate: model "lorentz" admits lorentz and rotation, model "rotation" rotation."""
+    if classification is not MuellerClass.ROTATION and (classification, model) != (MuellerClass.LORENTZ, "lorentz"):
+        raise (NotLorentzType if model == "lorentz" else NotRotationType)(
+            f"measurements classify as {classification.value} at tol {tol:g}, not {model}")

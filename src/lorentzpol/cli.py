@@ -12,14 +12,13 @@ Exit codes:
      outside the envelope (non-finite, or magnitudes out of range; see README)
   3  simulate only: non-positive intensity
   4  recovery singular (degenerate trace, near-pi rotation, singular
-     normalization, rebuild off the group); a partial report goes to stderr
-  5  measurements incompatible with the requested model (not lorentzian /
-     not rotation-type)
+     normalization, rebuild off the group)
+  5  measurements not of the requested model's type, by is_lorentzian
   141  stdout or stderr closed by its reader before the output was written
 
-Codes 3-5 are the ``exit_code`` of the LorentzpolError raised, and 5 also of
-the --model lorentz residual rejection; any error raised while reading input
-or building the element exits 2.  Each report is one % format, from _write.
+Codes 3-5 are the ``exit_code`` of the LorentzpolError raised, and recover
+writes a partial report of 4 and 5 to stderr; any error raised while reading
+input or building the element exits 2.  Each report is one % format, from _write.
 """
 
 from __future__ import annotations
@@ -32,10 +31,9 @@ import sys
 
 from . import jsonio
 from .algebra import (MuellerClass, _boost_element, _check_tolerance, _k_from_q, _lorentz_entries, _max_deviation,
-                      _norm2, _rotation_element)
+                      _norm2, _require, _rotation_element)
 from .errors import LorentzpolError
 from .probes import MeasurementSet, NoiseSpec, _simulate
-from .rotation import _require_rotation
 
 # The chain calls its stages by the names of the public functions whose work they do, the
 # names benchmark/run.py traces on this module.  Each is bound to that function's float kernel,
@@ -135,10 +133,8 @@ LORENTZ_REPORT, AUTO_LORENTZ_REPORT = "{" + _LORENTZ, _AUTO % "lorentz" + _LOREN
 ROTATION_REPORT, AUTO_ROTATION_REPORT = "{" + _ROTATION, _AUTO % "rotation" + _ROTATION
 NOT_LORENTZIAN_REPORT = _NOT_LORENTZIAN + f'"round_trip_max_dev": {jsonio.NUMBER}}}'
 NOT_LORENTZIAN_ERROR_REPORT = _NOT_LORENTZIAN + '"round_trip_error": %s}'
-# the stderr reports: a recovery that raised (exit 4 or 5), and the --model lorentz rejection (exit 5)
+# the stderr report: a recovery that raised (exit 4 or 5)
 PARTIAL_REPORT = f'{{"error": %s, "matrix": {_MATRIX}, "lorentz_residuals": {_list(4)}}}'
-REJECTION_REPORT = (f'{{"error": %s, "lorentz_residuals": {_list(4)}, "max_normalized_residual": '
-                    f'{jsonio.NUMBER}, "tolerance": %s}}')
 # classify's line, whose %s slot takes the classification's name
 CLASSIFY_LINE = f"%s residuals={_list(4)} max_normalized={jsonio.NUMBER} tol=%g"
 
@@ -169,11 +165,11 @@ def _report(ms: MeasurementSet, model: str, tol: float, rows: list, residuals: t
     r, normalized_max = residuals
     if model == "raw":
         return _write(RAW_REPORT, (), [*rows[0], *rows[1], *rows[2], *rows[3]])
-    if model == "lorentz":
-        return _write(LORENTZ_REPORT, (), _lorentz_numbers(rows, r))
     classification = is_lorentzian(rows, tol)
-    if model == "rotation":
-        _require_rotation(classification, tol)
+    if model != "auto":
+        _require(classification, model, tol)
+        if model == "lorentz":
+            return _write(LORENTZ_REPORT, (), _lorentz_numbers(rows, r))
         return _write(ROTATION_REPORT, (), _rotation_numbers(ms, rows, r))
     head = (jsonio.dumps(tol),)
     if classification is MuellerClass.LORENTZ:
@@ -194,15 +190,11 @@ def _recover_one(path: str, model: str, tol: float) -> tuple[int, str, str]:
     except Exception as exc:  # whatever stops the read, the input is unusable: exit 2
         return 2, "", f"error: cannot read measurements from {path!r}: {exc}"
     rows, residuals = reconstruct_mueller(ms), lorentz_residuals(ms)
-    r, normalized_max = residuals
-    if model == "lorentz" and normalized_max > tol:
-        error = f"normalized residual {normalized_max:.6g} exceeds tol {tol:g}"
-        return 5, "", _write(REJECTION_REPORT, (jsonio.dumps(error),), [*r, normalized_max], (jsonio.dumps(tol),))
     try:
         return 0, _report(ms, model, tol, rows, residuals), ""
     except LorentzpolError as exc:
-        error = jsonio.dumps(f"{type(exc).__name__}: {exc}")
-        return exc.exit_code, "", _write(PARTIAL_REPORT, (error,), [*rows[0], *rows[1], *rows[2], *rows[3], *r])
+        numbers = [*rows[0], *rows[1], *rows[2], *rows[3], *residuals[0]]
+        return exc.exit_code, "", _write(PARTIAL_REPORT, (jsonio.dumps(f"{type(exc).__name__}: {exc}"),), numbers)
 
 
 def cmd_recover(args) -> int:

@@ -34,6 +34,12 @@ class NotRotationType(LorentzpolError):
     exit_code = 5
 
 
+class NotLorentzType(LorentzpolError):
+    """Measurements do not classify as Lorentz-type; the general branch does not apply; exit 5."""
+
+    exit_code = 5
+
+
 class NotRotation(LorentzpolError):
     """A 3x3 matrix is not orthogonal with determinant +1; exit 5."""
 

@@ -10,15 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .algebra import MuellerClass, _array, _check_tolerance, _classify, _numbers
-from .errors import NearPiRotation, NotRotation, NotRotationType
+from .algebra import _array, _check_tolerance, _classify, _numbers, _require
+from .errors import NearPiRotation, NotRotation
 from .probes import MeasurementSet, _mueller_rows
-
-
-def _require_rotation(classification: MuellerClass, tol: float) -> None:
-    """The rotation branch's gate: raises NotRotationType unless the set classifies as rotation."""
-    if classification is not MuellerClass.ROTATION:
-        raise NotRotationType(f"measurements classify as {classification.value} at tol {tol:g}, not rotation")
 
 
 def _rotation_block(ms: MeasurementSet) -> list:
@@ -35,7 +29,7 @@ def rotation_from_measurements(ms: MeasurementSet, tol: float = 1e-9):
     too, and ValueError unless tol is finite and positive.
     """
     tol = _check_tolerance(tol)
-    _require_rotation(_classify(_mueller_rows(ms), tol), tol)
+    _require(_classify(_mueller_rows(ms), tol), "rotation", tol)
     return _array(_rotation_block(ms))
 
 

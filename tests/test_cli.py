@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 import lorentzpol as lp
 from lorentzpol import cli, jsonio, lorentz
 from lorentzpol.cli import main
+from lorentzpol.errors import NotLorentzType
 
 from conftest import (BUFFERED, GOLDEN, GOLDEN_RUNS, LN2_TEXT, dense_matrices, golden_run, run_process,
                       unit_quaternions, vector_parameters)
@@ -206,12 +207,11 @@ def test_recover_near_pi_rotation_exit_code(tmp_path, capsys):
 
 
 def test_recover_rebuild_failure_exit_code(tmp_path, capsys):
-    # at beta = 25, F0 and F3 round to the same double: the residuals are
-    # exactly (-I^2, 0, 0, 0), so tol 1 admits the set, and the rebuild from
-    # k then fails its norm check after cancellation
-    path = tmp_path / "boost25.json"
-    path.write_text(lp.simulate_measurements(lp.boost_mueller(3, 25.0), 1.0).to_json())
-    code, out, err = run_cli(capsys, "recover", str(path), "--model", "lorentz", "--tol", "1")
+    # at beta = 17.5 the classifier still calls the set lorentz at the default tol,
+    # and the rebuild from k then fails its norm check after cancellation
+    path = tmp_path / "boost17.json"
+    path.write_text(lp.simulate_measurements(lp.boost_mueller(3, 17.5), 1.0).to_json())
+    code, out, err = run_cli(capsys, "recover", str(path), "--model", "lorentz")
     assert code == 4
     assert out == ""
     assert json.loads(err)["error"].startswith(("NormViolation", "NonRealResult"))
@@ -431,12 +431,10 @@ def _reference_recover(ms, model, tol):
             payload = {"matrix": matrix}
         elif model == "rotation":
             payload = rotation()
-        elif model == "lorentz":
-            if residuals.normalized_max > tol:
-                return 5, jsonio.dumps({
-                    "error": f"normalized residual {residuals.normalized_max:.6g} exceeds tol {tol:g}",
-                    "lorentz_residuals": residuals.values(),
-                    "max_normalized_residual": residuals.normalized_max, "tolerance": tol})
+        elif model == "lorentz":  # the general branch takes every Lorentz-type set, rotations included
+            classification = lp.is_lorentzian(matrix, tol)
+            if classification is lp.MuellerClass.NOT_LORENTZIAN:
+                raise NotLorentzType(f"measurements classify as not-lorentzian at tol {tol:g}, not lorentz")
             payload = lp.recover_parameters(ms).to_json_dict()
         else:
             classification = lp.is_lorentzian(matrix, tol)
@@ -489,7 +487,7 @@ def _read_back(element, noise=None):
        st.sampled_from([1e-9, 1e-3]))
 @example(_read_back(lp.embed_rotation(lp.quaternion_to_rotation([0, 1, 0, 0]))), "auto", 1e-9)  # NearPiRotation
 @example(_read_back(lp.boost_mueller(3, 0.5) @ lp.rotation_mueller(1, np.pi)), "lorentz", 1e-9)  # DegenerateTrace
-@example(_read_back(lp.rotation_mueller(2, 0.8), lp.NoiseSpec(1e-4, 3)), "lorentz", 1e-9)  # residual rejection
+@example(_read_back(lp.rotation_mueller(2, 0.8), lp.NoiseSpec(1e-4, 3)), "lorentz", 1e-9)  # NotLorentzType
 @example(_read_back(lp.boost_mueller(3, 0.7)), "rotation", 1e-9)  # NotRotationType
 def test_report_writer_gives_the_bytes_of_the_reference(ms, model, tol):
     with mock.patch("sys.stdin", io.StringIO(ms.to_json())):
@@ -509,13 +507,15 @@ def noisy_rotations(draw):
 
 @settings(max_examples=300)
 @given(noisy_rotations())
-# `simulate --rotation 1 --theta 0.4 --noise 0.0002 --seed 3`: classify said rotation, and both
-# recover runs exited 5 with NotRotation when the rotation branch had gates of its own
+# `simulate --rotation 1 --theta 0.4 --noise 0.0002 --seed 3`: classify said rotation, and the three
+# recover runs exited 5 when the rotation branch had gates of its own and --model lorentz its residual test
 @example(_read_back(lp.rotation_mueller(1, 0.4), lp.NoiseSpec(2e-4, 3)))
+# the mirror diag(1, 1, 1, -1): not Lorentz-type (det -1), and --model lorentz exited 0 on its zero residuals
+@example(_read_back(np.diag([1.0, 1.0, 1.0, -1.0])))
 def test_classify_auto_and_rotation_share_one_rotation_gate(ms):
     text = ms.to_json()
     with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(io.StringIO()):
-        classified = cli.main(["classify", "-", "--tol", "1e-3"]) == 1
+        classified = cli.main(["classify", "-", "--tol", "1e-3"])
     with mock.patch("sys.stdin", io.StringIO(text)):
         code, out, err = cli._recover_one("-", "auto", 1e-3)
     auto = (code == 0 and json.loads(out)["classification"] == "rotation"
@@ -523,7 +523,12 @@ def test_classify_auto_and_rotation_share_one_rotation_gate(ms):
     with mock.patch("sys.stdin", io.StringIO(text)):
         code, _, err = cli._recover_one("-", "rotation", 1e-3)
     assert code in (0, 4, 5), err
-    assert classified == auto == (code in (0, 4))
+    assert (classified == 1) == auto == (code in (0, 4))
+    # --model lorentz passes the same gate: 5 exactly on the sets classify calls not-lorentzian
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        code, _, err = cli._recover_one("-", "lorentz", 1e-3)
+    assert code in (0, 4, 5), err
+    assert (code == 5) == (classified == 5)
 
 
 @pytest.mark.parametrize("model", ["auto", "lorentz", "rotation", "raw"])
