@@ -189,13 +189,15 @@ def quaternion_to_rotation(n, norm_tol: float = 1e-9):
         Unit quaternion; (n0, e*sin(t/2)) with n0 = cos(t/2) rotates by the
         angle t about the unit axis e.  n and -n give the same matrix.
     norm_tol : float
-        Allowed deviation of n.n from 1 before NormViolation is raised.
+        Allowed deviation of n.n from 1 before NormViolation is raised;
+        ValueError unless it is finite and positive.
 
     Returns
     -------
     numpy.ndarray, shape (3, 3)
         Proper rotation matrix (orthogonal, determinant +1).
     """
+    _check_tolerance(norm_tol)  # before n is read, so a bad norm_tol is the error reported
     return _array(_rotation_rows(_numbers(n, (4,), "quaternion"), norm_tol))
 
 

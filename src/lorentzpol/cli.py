@@ -140,7 +140,7 @@ CLASSIFY_LINE = f"%s residuals={_list(4)} max_normalized={jsonio.NUMBER} tol=%g"
 
 
 def _write(template: str, head: tuple, numbers: list, tail: tuple = ()) -> str:
-    """template % (*head, *numbers, *tail); a non-finite number raises jsonio.dumps's ValueError."""
+    """template % (*head, *numbers, *tail); a non-finite number raises its own ValueError, with jsonio.dumps's text."""
     if not all(map(math.isfinite, numbers)):  # then min by isfinite is the first non-finite number
         raise ValueError("non-finite number in JSON output: %r" % min(numbers, key=math.isfinite))
     return template % (*head, *numbers, *tail)

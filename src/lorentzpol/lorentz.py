@@ -70,15 +70,16 @@ class RecoveryResult(_Value):
 
 
 class RoundTripReport(_Value):
-    """Outcome of reconstruct -> recover -> rebuild on one measurement set."""
+    """Outcome of reconstruct -> recover -> rebuild on one measurement set.
 
-    _fields = ("passed", "max_deviation", "tol", "residuals", "error")
+    ``passed`` is read from the fields: no error and a rebuild deviation below 1e-9.
+    """
 
-    def __init__(self, passed: bool, max_deviation: float | None, tol: float, residuals: LorentzResiduals,
-                 error: str | None = None):
-        object.__setattr__(self, "passed", passed)
+    _fields = ("max_deviation", "residuals", "error")
+    passed = property(lambda self: self.error is None and self.max_deviation < 1e-9)
+
+    def __init__(self, max_deviation: float | None, residuals: LorentzResiduals, error: str | None = None):
         object.__setattr__(self, "max_deviation", max_deviation)
-        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "residuals", residuals)
         object.__setattr__(self, "error", error)
 
@@ -154,11 +155,10 @@ def recover_q(ms: MeasurementSet):
         q3 = [-(r30 + r03) - i*(r21 - r12)] / trace
 
     Equal to (M - i*N)/delta, and consistent with recover_k through
-    i*q = kvec/k0.  Shares the degeneracy guards of recover_k.
+    i*q = kvec/k0.  Raises DegenerateTrace as delta_from_trace does; on
+    q.q = 1, where k is singular, q is still finite and is returned.
     """
-    delta, mvec, nvec, q = _extract(_mueller_rows(ms))
-    _assemble_k(delta, mvec, nvec)  # parity with recover_k's singularity guard
-    return _array(q)
+    return _array(_extract(_mueller_rows(ms))[3])
 
 
 def _recover(rows: list) -> tuple:
@@ -189,13 +189,7 @@ def _round_trip(rows: list) -> tuple[float | None, str | None]:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def verify_round_trip(ms: MeasurementSet, tol: float = 1e-9) -> RoundTripReport:
+def verify_round_trip(ms: MeasurementSet) -> RoundTripReport:
     """Round-trip check that never raises: recovery errors go in the report."""
     deviation, error = _round_trip(_mueller_rows(ms))
-    return RoundTripReport(
-        passed=error is None and deviation < tol,
-        max_deviation=deviation,
-        tol=tol,
-        residuals=lorentz_residuals(ms),
-        error=error,
-    )
+    return RoundTripReport(deviation, lorentz_residuals(ms), error)

@@ -55,6 +55,15 @@ def test_quaternion_to_rotation_rejects_non_finite(n):
         lp.quaternion_to_rotation(n)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_quaternion_to_rotation_rejects_bad_tolerance(tol):
+    # an infinite norm_tol would turn (1, 1, 0, 0) into a non-orthogonal matrix, and a negative
+    # one would refuse the unit quaternion (0.6, 0.8, 0, 0)
+    for n in ([1.0, 1.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            lp.quaternion_to_rotation(n, norm_tol=tol)
+
+
 @settings(max_examples=100)
 @given(unit_quaternions())
 def test_quaternion_rotation_is_proper(n):

@@ -21,13 +21,13 @@ SIGNATURES = {
     "rotation_mueller": ["axis", "theta"],
     "spinor_norm": ["k"],
     "RecoveryResult": ["delta", "vectors", "round_trip_max_dev", "residuals"],
-    "RoundTripReport": ["passed", "max_deviation", "tol", "residuals", "error=None"],
+    "RoundTripReport": ["max_deviation", "residuals", "error=None"],
     "delta_from_trace": ["ms"],
     "mn_from_antisymmetric": ["ms", "delta"],
     "recover_k": ["ms"],
     "recover_parameters": ["ms"],
     "recover_q": ["ms"],
-    "verify_round_trip": ["ms", "tol=1e-09"],
+    "verify_round_trip": ["ms"],
     "LorentzResiduals": ["r0", "r1", "r2", "r3", "normalized_max"],
     "MeasurementSet": ["intensity", "f", "a", "b", "c"],
     "NoiseSpec": ["sigma=0.0", "seed=0"],
@@ -35,7 +35,7 @@ SIGNATURES = {
     "probe_set": ["intensity"],
     "reconstruct_mueller": ["ms"],
     "simulate_measurements": ["m", "intensity", "noise=None"],
-    "recover_quaternion": ["r", "ortho_tol=1e-06"],
+    "recover_quaternion": ["r"],
     "rotation_from_measurements": ["ms", "tol=1e-09"],
     "rotation_identity_sum": ["r"],
 }

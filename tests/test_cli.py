@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lorentzpol as lp
-from lorentzpol import cli, jsonio, lorentz
+from lorentzpol import cli, jsonio, lorentz, rotation
 from lorentzpol.cli import main
 from lorentzpol.errors import NotLorentzType
 
@@ -414,11 +414,11 @@ def _reference_recover(ms, model, tol):
     matrix = lp.reconstruct_mueller(ms).tolist()
     residuals = lp.lorentz_residuals(ms)
 
-    def rotation():
+    def rotation_payload():
         # rotation_from_measurements applies the one rotation gate, is_lorentzian's.  The CLI applies no
-        # triad gate; one at 1 passes every triad the classifier calls rotation at tol <= 1e-3
+        # triad gate, so the quaternion is recover_quaternion's extraction without it
         block = lp.rotation_from_measurements(ms, tol)
-        quaternion = lp.recover_quaternion(block, ortho_tol=1.0).tolist()
+        quaternion = rotation._quaternion(block.tolist())
         n0, n1, n2, n3 = quaternion
         norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3)
         rebuilt = lp.embed_rotation(lp.quaternion_to_rotation([x / norm for x in quaternion]))
@@ -430,7 +430,7 @@ def _reference_recover(ms, model, tol):
         if model == "raw":
             payload = {"matrix": matrix}
         elif model == "rotation":
-            payload = rotation()
+            payload = rotation_payload()
         elif model == "lorentz":  # the general branch takes every Lorentz-type set, rotations included
             classification = lp.is_lorentzian(matrix, tol)
             if classification is lp.MuellerClass.NOT_LORENTZIAN:
@@ -440,11 +440,11 @@ def _reference_recover(ms, model, tol):
             classification = lp.is_lorentzian(matrix, tol)
             payload = {"classification": classification.value, "tolerance": tol}
             if classification is lp.MuellerClass.ROTATION:
-                payload.update(rotation())
+                payload.update(rotation_payload())
             elif classification is lp.MuellerClass.LORENTZ:
                 payload.update(lp.recover_parameters(ms).to_json_dict())
             else:
-                trip = lp.verify_round_trip(ms, tol)
+                trip = lp.verify_round_trip(ms)
                 payload.update({"matrix": matrix, "lorentz_residuals": trip.residuals.values(),
                                 "max_normalized_residual": trip.residuals.normalized_max})
                 if trip.max_deviation is not None:

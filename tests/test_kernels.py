@@ -68,12 +68,12 @@ def ref_ortho_dev(rows):
         (c0, c0, 1.0), (c1, c1, 1.0), (c2, c2, 1.0), (c0, c1, 0.0), (c0, c2, 0.0), (c1, c2, 0.0))])
 
 
-def ref_quaternion(rows, ortho_tol=1e-6):
-    """recover_quaternion's triad gate, then the extraction."""
+def ref_quaternion(rows):
+    """recover_quaternion's triad gate at its fixed 1e-6, then the extraction."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     ortho_dev = ref_ortho_dev(rows)
     det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
-    if not (ortho_dev <= ortho_tol and abs(det - 1.0) <= ortho_tol):
+    if not (ortho_dev <= 1e-6 and abs(det - 1.0) <= 1e-6):
         raise NotRotation(
             f"not a proper rotation: |R^T R - 1| = {ortho_dev:.3e}, det = {det:.6f}"
         )
@@ -272,11 +272,19 @@ def matrices4(draw):
 
 @st.composite
 def matrices3(draw):
-    if draw(st.booleans()):
+    """Nine floats, a rotation, or a rotation with one column scaled so that its norm deviation
+    lies within ulps of recover_quaternion's fixed 1e-6 gate, on either side of it."""
+    kind = draw(st.sampled_from(["floats", "rotation", "gate"]))
+    if kind == "floats":
         flat = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=9, max_size=9))
     else:
         flat = lp.quaternion_to_rotation(draw(unit_quaternions())).ravel().tolist()
-    flat = draw(with_specials(flat))
+    if kind == "gate":
+        column = draw(st.integers(0, 2))
+        scale = near(math.sqrt(1.0 + draw(st.sampled_from([1e-6, -1e-6]))), draw)
+        flat = [x * scale if i % 3 == column else x for i, x in enumerate(flat)]
+    else:
+        flat = draw(with_specials(flat))
     return [flat[i:i + 3] for i in range(0, 9, 3)]
 
 
@@ -310,19 +318,12 @@ def test_is_lorentzian_matches_reference(data, rows, form):
 
 
 @settings(max_examples=800)
-@given(st.data(), matrices3())
-def test_recover_quaternion_matches_reference(data, rows):
-    if data.draw(st.booleans()):  # within ulps of where the orthogonality test flips
-        ortho_tol = near(ref_ortho_dev(rows), data.draw)
-    else:
-        ortho_tol = data.draw(st.sampled_from([1e-6, 1e-3, 1.0, math.nan, 0.0]))
-    args = (rows, ortho_tol)
-
+@given(matrices3())
+def test_recover_quaternion_matches_reference(rows):
     def reference():
-        checked = np.asarray(rows, dtype=float).tolist()
-        return np.array(ref_quaternion(checked, _check_tolerance(ortho_tol)))
+        return np.array(ref_quaternion(np.asarray(rows, dtype=float).tolist()))
 
-    assert outcome(lp.recover_quaternion, *args) == outcome(reference)
+    assert outcome(lp.recover_quaternion, rows) == outcome(reference)
     assert outcome(rotation._quaternion, rows) == outcome(ref_extraction, rows)
 
 

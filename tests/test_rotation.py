@@ -97,13 +97,6 @@ def test_recover_quaternion_rejects_non_rotations(columns):
         lp.recover_quaternion(np.column_stack(columns))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-def test_recover_quaternion_rejects_bad_tolerance(tol):
-    # an infinite ortho_tol would let 2 * identity through the gate
-    with pytest.raises(ValueError, match="finite and positive"):
-        lp.recover_quaternion(2.0 * np.eye(3), ortho_tol=tol)
-
-
 @settings(max_examples=150)
 @given(unit_quaternions(min_n0=0.05))
 def test_quaternion_round_trip(n):

@@ -23,7 +23,7 @@ CASES = [
     (lp.RecoveryResult, {"delta": 0.9, "vectors": ([0.1, 0.0, -0.2], [0.0, 0.3, 0.0],
                                                    [0.9 + 0j, 0.1j, 0.2 + 0.1j, 0j], [0.1 + 0.2j, 0j, 0.3j]),
                          "round_trip_max_dev": 4e-16, "residuals": RESIDUALS}, None),
-    (lp.RoundTripReport, {"passed": False, "max_deviation": None, "tol": 1e-9, "residuals": RESIDUALS,
+    (lp.RoundTripReport, {"max_deviation": None, "residuals": RESIDUALS,
                           "error": "DegenerateTrace: matrix trace 0.0 is not positive"}, None),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
@@ -86,7 +86,21 @@ def test_repr_names_each_field(cls, kwargs, fields):
 def test_defaults():
     assert lp.NoiseSpec() == lp.NoiseSpec(sigma=0.0, seed=0) == lp.NoiseSpec(0.0, 0)
     assert (lp.NoiseSpec().sigma, lp.NoiseSpec().seed) == (0.0, 0)
-    report = lp.RoundTripReport(True, 3e-16, 1e-9, RESIDUALS)
+    report = lp.RoundTripReport(3e-16, RESIDUALS)
     assert report.error is None
-    assert report == lp.RoundTripReport(passed=True, max_deviation=3e-16, tol=1e-9, residuals=RESIDUALS,
-                                        error=None)
+    assert report == lp.RoundTripReport(max_deviation=3e-16, residuals=RESIDUALS, error=None)
+
+
+@pytest.mark.parametrize("deviation, error, passed", [
+    (3e-16, None, True),
+    (0.0, None, True),
+    (1e-9, None, False),  # the bound is strict
+    (5.0, None, False),
+    (float("nan"), None, False),
+    (None, "DegenerateTrace: matrix trace 0.0 is not positive", False),
+])
+def test_round_trip_report_passed_is_read_from_its_fields(deviation, error, passed):
+    report = lp.RoundTripReport(deviation, RESIDUALS, error)
+    assert report.passed is passed
+    with pytest.raises(AttributeError):
+        report.passed = not passed
