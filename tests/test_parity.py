@@ -33,15 +33,20 @@ def test_parity_of_the_tree_against_itself():
     assert lines[-1] == "total differences: 0"
 
 
+def test_parity_reports_a_changed_format(tmp_path):
+    # a tree that prints 16 significant digits differs on reports and simulate texts
+    result = run_parity(SRC, edited_tree(tmp_path, "jsonio.py", "%.17g", "%.16g"), 50)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1] != "total differences: 0"
+    assert "forward sets: 25, simulate texts differing 0" not in result.stdout
+    assert "cli processes: 17, differing 0" not in result.stdout
+
+
 def test_tolerance_mode_accepts_a_tree_that_moves_numbers_by_a_few_eps(tmp_path):
-    # a tree that prints 16 significant digits differs strictly on reports and simulate texts,
-    # and each number moves by at most 2.3 eps of itself
+    # 16 significant digits move each number by at most 2.3 eps of itself
     change = edited_tree(tmp_path, "jsonio.py", "%.17g", "%.16g")
     strict = run_parity(SRC, change, 50)
     assert strict.returncode == 1, strict.stdout + strict.stderr
-    assert strict.stdout.splitlines()[-1] != "total differences: 0"
-    assert "forward sets: 25, simulate texts differing 0" not in strict.stdout
-    assert "cli processes: 17, differing 0" not in strict.stdout
     tolerant = run_parity(SRC, change, 50, "--tolerance-eps", "8")
     assert tolerant.returncode == 0, tolerant.stdout + tolerant.stderr
     lines = tolerant.stdout.splitlines()
