@@ -72,11 +72,13 @@ class RecoveryResult(_Value):
 class RoundTripReport(_Value):
     """Outcome of reconstruct -> recover -> rebuild on one measurement set.
 
-    ``passed`` is read from the fields: no error and a rebuild deviation below 1e-9.
+    ``passed`` is read from the fields: no error and a rebuild deviation below 1e-9
+    (a report without a deviation has not passed).
     """
 
     _fields = ("max_deviation", "residuals", "error")
-    passed = property(lambda self: self.error is None and self.max_deviation < 1e-9)
+    passed = property(lambda self: self.error is None and self.max_deviation is not None
+                      and self.max_deviation < 1e-9)
 
     def __init__(self, max_deviation: float | None, residuals: LorentzResiduals, error: str | None = None):
         object.__setattr__(self, "max_deviation", max_deviation)

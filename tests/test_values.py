@@ -98,6 +98,7 @@ def test_defaults():
     (5.0, None, False),
     (float("nan"), None, False),
     (None, "DegenerateTrace: matrix trace 0.0 is not positive", False),
+    (None, None, False),  # no deviation, no error: nothing was rebuilt
 ])
 def test_round_trip_report_passed_is_read_from_its_fields(deviation, error, passed):
     report = lp.RoundTripReport(deviation, RESIDUALS, error)
