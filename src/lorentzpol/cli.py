@@ -113,9 +113,9 @@ def _load_measurements(path: str) -> MeasurementSet:
     return MeasurementSet.from_json(text)
 
 
-# Each report kind in one format, which gives the bytes of jsonio.dumps on its dict: every
-# number slot is jsonio.NUMBER, and a %s slot takes the dumps text of the tolerance or of an
-# error message.
+# Each report kind in one format, the one place that knows the report schema: every number
+# slot is jsonio.NUMBER, and a %s slot takes the dumps text of the tolerance or of an error
+# message.
 def _list(n: int) -> str:
     return "[" + ", ".join([jsonio.NUMBER] * n) + "]"
 
@@ -199,8 +199,8 @@ def _recover_one(path: str, model: str, tol: float) -> tuple[int, str, str]:
 
 def cmd_recover(args) -> int:
     if args.batch is not None:
-        return _recover_batch(args)
-    code, out, err = _recover_one(args.input, args.model, args.tol)
+        return _recover_batch(args) if args.input is None else _fail("give an input file or --batch DIR, not both", 2)
+    code, out, err = _recover_one("-" if args.input is None else args.input, args.model, args.tol)
     if out:
         print(out)
     if err:
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     rec = sub.add_parser("recover", help="recover matrix and parameters from measurements")
-    rec.add_argument("input", nargs="?", default="-", help="measurement JSON file, '-' for stdin")
+    rec.add_argument("input", nargs="?", help="measurement JSON file, '-' or none for stdin")
     rec.add_argument("--model", choices=("auto", "rotation", "lorentz", "raw"), default="auto")
     rec.add_argument("--tol", type=_tolerance, default=1e-9, help="classification tolerance (default 1e-9)")
     rec.add_argument("--batch", metavar="DIR", help="recover every .json file in DIR, one after another")

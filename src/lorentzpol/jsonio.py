@@ -1,13 +1,10 @@
 """Deterministic JSON emission.
 
 Numbers are written with 17 significant digits so that emitted files are
-byte-stable and round-trip to the same IEEE-754 doubles.  Key order is the
-insertion order of the dicts handed in, which the callers keep fixed.
-
-``dumps`` tests the types reports are made of (an exact float, a dict, a list
-or tuple) before the rest; every path gives ``format_number``'s bytes, and a
-non-finite value raises its ``ValueError``.  It takes Python values only; no
-caller hands it a numpy object.
+byte-stable and round-trip to the same IEEE-754 doubles.  NUMBER is that
+format, the one every number slot of the report formats in cli.py and the
+measurement format in probes.py is spelled with; ``dumps`` writes the two
+values a report takes whole, the auto tolerance and an error message.
 """
 
 from __future__ import annotations
@@ -17,32 +14,10 @@ import math
 NUMBER = "%.17g"  # the format of every float written
 
 
-def format_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(int(x))
-    x = float(x)
+def dumps(x) -> str:
+    """A string, quoted, or a float as NUMBER writes it; a non-finite float raises ValueError."""
+    if isinstance(x, str):
+        return '"' + x.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
     if not math.isfinite(x):
-        raise ValueError(f"non-finite number in JSON output: {x!r}")
-    return format(x, ".17g")
-
-
-def dumps(obj) -> str:
-    """Serialize dict/list/tuple/str/number/None with fixed float formatting."""
-    if type(obj) is float:
-        text = NUMBER % obj
-        return format_number(obj) if "n" in text else text  # nan or inf: raises
-    if isinstance(obj, dict):
-        return "{" + ", ".join([f'"{key}": {dumps(value)}' for key, value in obj.items()]) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join([dumps(value) for value in obj]) + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        # no exotic characters are ever emitted here, but escape properly
-        escaped = (
-            obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
-        return f'"{escaped}"'
-    return format_number(obj)
+        raise ValueError("non-finite number in JSON output: %r" % float(x))
+    return NUMBER % x

@@ -56,18 +56,6 @@ class RecoveryResult(_Value):
         object.__setattr__(self, "round_trip_max_dev", round_trip_max_dev)
         object.__setattr__(self, "residuals", residuals)
 
-    def to_json_dict(self) -> dict:
-        mvec, nvec, k, q = self.vectors
-        return {
-            "delta": self.delta,
-            "M": mvec,
-            "N": nvec,
-            "k": {"re": [z.real for z in k], "im": [z.imag for z in k]},
-            "q": {"re": [z.real for z in q], "im": [z.imag for z in q]},
-            "round_trip_max_dev": self.round_trip_max_dev,
-            "lorentz_residuals": self.residuals.values(),
-        }
-
 
 class RoundTripReport(_Value):
     """Outcome of reconstruct -> recover -> rebuild on one measurement set.

@@ -30,7 +30,7 @@ from .errors import NonPositiveIntensity
 INTENSITY_RANGE = (1e-100, 1e100)
 MAX_OUTPUT_RATIO = 1e50
 
-# A measurement set's JSON text in one format: the bytes of jsonio.dumps on its fields.
+# A measurement set's JSON text in one format, the one place that knows its schema; every number is a NUMBER slot.
 _JSON = '{"intensity": %s, "outputs": {"F": %s, "A": %s, "B": %s, "C": %s}}' % (
     jsonio.NUMBER, *("[" + ", ".join([jsonio.NUMBER] * 4) + "]",) * 4)
 
@@ -110,6 +110,11 @@ class MeasurementSet(_Value):
         # a non-numeric, string or boolean entry, an int past the float range, an output of the wrong shape, or
         # nesting past the recursion limit; the envelope's ValueError, raised by _store, is not malformed JSON
         except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+            # a file or an "outputs" that is no object fails on a subscript (data is bound: a str text was decoded)
+            if type(exc) is TypeError and isinstance(text, str) and not (
+                    type(data) is dict and type(data["outputs"]) is dict):
+                raise ValueError('malformed measurement JSON: expected an object with "intensity" and "outputs", and'
+                                 ' "outputs" an object holding "F", "A", "B" and "C"') from exc
             raise ValueError(f"malformed measurement JSON: {exc}") from exc
         ms = cls.__new__(cls)
         ms._store(*fields)
@@ -213,9 +218,6 @@ class LorentzResiduals(_Value):
         object.__setattr__(self, "r2", r2)
         object.__setattr__(self, "r3", r3)
         object.__setattr__(self, "normalized_max", normalized_max)
-
-    def values(self) -> list:
-        return [self.r0, self.r1, self.r2, self.r3]
 
 
 def _residuals(ms: MeasurementSet) -> tuple[list, float]:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -64,6 +65,16 @@ def golden_run(row):
     argv = [str(GOLDEN / arg) if arg.endswith(".json") else arg for arg in argv]
     stdin, out, err = ((GOLDEN / name).read_bytes() if name else b"" for name in (stdin, out, err))
     return run_process(*argv, stdin=stdin), (code, out, err)
+
+
+def reference_dumps(obj) -> str:
+    """The JSON text of dicts, lists, strings and floats, every float in "%.17g": the reference for the bytes the
+    package's report and measurement formats write, spelled here apart from its jsonio.NUMBER."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join([f"{json.dumps(key)}: {reference_dumps(value)}" for key, value in obj.items()]) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(reference_dumps, obj)) + "]"
+    return json.dumps(obj) if isinstance(obj, str) else "%.17g" % obj
 
 
 @st.composite

@@ -41,6 +41,17 @@ SIGNATURES = {
 }
 
 
+# The public attributes of the value classes: fields, array views, properties and methods.  A method added to or
+# removed from one of them fails here.
+ATTRIBUTES = {
+    "LorentzResiduals": ["normalized_max", "r0", "r1", "r2", "r3"],
+    "MeasurementSet": ["a", "b", "c", "f", "from_json", "intensity", "stokes", "to_json"],
+    "NoiseSpec": ["seed", "sigma"],
+    "RecoveryResult": ["delta", "k", "mvec", "nvec", "q", "residuals", "round_trip_max_dev", "vectors"],
+    "RoundTripReport": ["error", "max_deviation", "passed", "residuals"],
+}
+
+
 def parameters(obj) -> list:
     return [p.name if p.default is p.empty else f"{p.name}={p.default!r}"
             for p in inspect.signature(obj).parameters.values()]
@@ -51,3 +62,11 @@ def test_public_signatures():
     got = {name: parameters(obj) for name, obj in public.items()
            if not (isinstance(obj, type) and issubclass(obj, (Exception, enum.Enum)))}
     assert got == SIGNATURES
+
+
+def public_attributes(cls) -> list:
+    return sorted({*cls._fields, *[name for name in dir(cls) if not name.startswith("_")]})
+
+
+def test_value_class_attributes():
+    assert {name: public_attributes(getattr(lp, name)) for name in ATTRIBUTES} == ATTRIBUTES

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lorentzpol as lp
-from lorentzpol import cli, jsonio, lorentz, rotation
+from lorentzpol import cli, lorentz, rotation
 from lorentzpol.cli import main
 from lorentzpol.errors import NotLorentzType
 
-from conftest import (BUFFERED, GOLDEN, GOLDEN_RUNS, LN2_TEXT, dense_matrices, golden_run, run_process,
-                      unit_quaternions, vector_parameters)
+from conftest import (BUFFERED, GOLDEN, GOLDEN_RUNS, LN2_TEXT, dense_matrices, golden_run, reference_dumps,
+                      run_process, unit_quaternions, vector_parameters)
 
 
 def run_cli(capsys, *argv):
@@ -247,38 +247,57 @@ def test_non_finite_input_exits_2(tmp_path, capsys, name, command):
     assert err.startswith("error: ") and "finite" in err
 
 
+NOT_AN_OBJECT = ('expected an object with "intensity" and "outputs", and "outputs" an object holding'
+                 ' "F", "A", "B" and "C"')
+# each malformed file and the reason its one-line error gives after "malformed measurement JSON: "
 MALFORMED_INPUTS = {
-    "dict_entry": '{"intensity": 1, "outputs": {"F": {"a": 1}, "A": [1, 1, 0, 0],'
-                  ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',
-    "dict_in_vector": '{"intensity": 1, "outputs": {"F": [1, 0, 0, {}], "A": [1, 1, 0, 0],'
-                      ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',
-    "deep_nesting": "[" * 100000 + "]" * 100000,
-    "string_intensity": '{"intensity": "1", "outputs": {"F": [1, 0, 0, 0], "A": [1, 1, 0, 0],'
-                        ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',
-    "string_entry": '{"intensity": 1, "outputs": {"F": ["1", "0", "0", "0"], "A": [1, 1, 0, 0],'
-                    ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}',
+    "dict_entry": ('{"intensity": 1, "outputs": {"F": {"a": 1}, "A": [1, 1, 0, 0],'
+                   ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}', "Stokes vector entries must be numbers, not dict"),
+    "dict_in_vector": ('{"intensity": 1, "outputs": {"F": [1, 0, 0, {}], "A": [1, 1, 0, 0],'
+                       ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}', "Stokes vector entries must be numbers, not dict"),
+    "deep_nesting": ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+    "string_intensity": ('{"intensity": "1", "outputs": {"F": [1, 0, 0, 0], "A": [1, 1, 0, 0],'
+                         ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}', "intensity entries must be numbers, not strings"),
+    "string_entry": ('{"intensity": 1, "outputs": {"F": ["1", "0", "0", "0"], "A": [1, 1, 0, 0],'
+                     ' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}', "Stokes vector entries must be numbers, not strings"),
+    # a file or an "outputs" that is no object: each once gave a Python subscript error
+    "list_file": ("[1, 2]", NOT_AN_OBJECT),
+    "null_file": ("null", NOT_AN_OBJECT),
+    "number_file": ("3", NOT_AN_OBJECT),
+    "string_outputs": ('{"intensity": 1, "outputs": "FABC"}', NOT_AN_OBJECT),
+    "list_outputs": ('{"intensity": 1, "outputs": [1, 2]}', NOT_AN_OBJECT),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
 @pytest.mark.parametrize("command", [("recover", "--model", "auto"), ("classify",)])
 def test_malformed_input_exits_2(tmp_path, capsys, name, command):
+    text, reason = MALFORMED_INPUTS[name]
     path = tmp_path / f"{name}.json"
-    path.write_text(MALFORMED_INPUTS[name])
+    path.write_text(text)
     code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot read measurements from ") and len(err.splitlines()) == 1
+    assert "malformed measurement JSON: " + reason in err
 
 
 def test_batch_reports_malformed_file_and_continues(tmp_path, capsys):
     write_measurements(tmp_path, lp.boost_mueller(3, 0.5), name="a_good.json")
-    (tmp_path / "b_bad.json").write_text(MALFORMED_INPUTS["dict_in_vector"])
+    (tmp_path / "b_bad.json").write_text(MALFORMED_INPUTS["dict_in_vector"][0])
     write_measurements(tmp_path, np.eye(4), name="c_good.json")
     code, out, err = run_cli(capsys, "recover", "--batch", str(tmp_path))
     assert code == 2
     assert out.splitlines() == ["a_good.json: ok", "b_bad.json: failed (exit 2)", "c_good.json: ok"]
     assert "malformed measurement JSON" in err and len(err.splitlines()) == 1
     assert (tmp_path / "c_good.recovery.json").exists()
+
+
+@pytest.mark.parametrize("given", ["missing.json", "-"])
+def test_recover_refuses_an_input_file_with_batch(tmp_path, capsys, given):
+    write_measurements(tmp_path, np.eye(4), name="a.json")
+    code, out, err = run_cli(capsys, "recover", given, "--batch", str(tmp_path))
+    assert (code, out, err) == (2, "", "error: give an input file or --batch DIR, not both\n")
+    assert not (tmp_path / "a.recovery.json").exists()
 
 
 def test_batch_reports_unwritable_report_and_continues(tmp_path, capsys):
@@ -410,9 +429,10 @@ def test_noisy_recover_computes_residuals_once(tmp_path, capsys, monkeypatch, el
 
 def _reference_recover(ms, model, tol):
     """(exit code, report) of `recover` on ms, built as a dict from the library's public results
-    and written by jsonio.dumps: the reference for the CLI's one-format report writer."""
+    and written by reference_dumps: the reference for the CLI's one-format report writer."""
     matrix = lp.reconstruct_mueller(ms).tolist()
     residuals = lp.lorentz_residuals(ms)
+    values = [residuals.r0, residuals.r1, residuals.r2, residuals.r3]
 
     def rotation_payload():
         # rotation_from_measurements applies the one rotation gate, is_lorentzian's.  The CLI applies no
@@ -423,8 +443,15 @@ def _reference_recover(ms, model, tol):
         norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3)
         rebuilt = lp.embed_rotation(lp.quaternion_to_rotation([x / norm for x in quaternion]))
         deviation = max([abs(x - y) for r, d in zip(rebuilt.tolist(), matrix) for x, y in zip(r, d)])
-        return {"quaternion": quaternion, "round_trip_max_dev": deviation,
-                "lorentz_residuals": residuals.values()}
+        return {"quaternion": quaternion, "round_trip_max_dev": deviation, "lorentz_residuals": values}
+
+    def lorentz_payload():
+        result = lp.recover_parameters(ms)
+        mvec, nvec, k, q = result.vectors
+        return {"delta": result.delta, "M": mvec, "N": nvec,
+                "k": {"re": [z.real for z in k], "im": [z.imag for z in k]},
+                "q": {"re": [z.real for z in q], "im": [z.imag for z in q]},
+                "round_trip_max_dev": result.round_trip_max_dev, "lorentz_residuals": values}
 
     try:
         if model == "raw":
@@ -435,26 +462,26 @@ def _reference_recover(ms, model, tol):
             classification = lp.is_lorentzian(matrix, tol)
             if classification is lp.MuellerClass.NOT_LORENTZIAN:
                 raise NotLorentzType(f"measurements classify as not-lorentzian at tol {tol:g}, not lorentz")
-            payload = lp.recover_parameters(ms).to_json_dict()
+            payload = lorentz_payload()
         else:
             classification = lp.is_lorentzian(matrix, tol)
             payload = {"classification": classification.value, "tolerance": tol}
             if classification is lp.MuellerClass.ROTATION:
                 payload.update(rotation_payload())
             elif classification is lp.MuellerClass.LORENTZ:
-                payload.update(lp.recover_parameters(ms).to_json_dict())
+                payload.update(lorentz_payload())
             else:
                 trip = lp.verify_round_trip(ms)
-                payload.update({"matrix": matrix, "lorentz_residuals": trip.residuals.values(),
+                payload.update({"matrix": matrix, "lorentz_residuals": values,
                                 "max_normalized_residual": trip.residuals.normalized_max})
                 if trip.max_deviation is not None:
                     payload["round_trip_max_dev"] = trip.max_deviation
                 else:
                     payload["round_trip_error"] = trip.error
     except lp.LorentzpolError as exc:
-        return exc.exit_code, jsonio.dumps({"error": f"{type(exc).__name__}: {exc}", "matrix": matrix,
-                                            "lorentz_residuals": residuals.values()})
-    return 0, jsonio.dumps(payload)
+        return exc.exit_code, reference_dumps({"error": f"{type(exc).__name__}: {exc}", "matrix": matrix,
+                                               "lorentz_residuals": values})
+    return 0, reference_dumps(payload)
 
 
 @st.composite

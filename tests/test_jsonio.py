@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,33 +13,24 @@ EDGE_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
-def test_non_finite_raises_format_number_message(bad, shape):
-    with pytest.raises(ValueError) as expected:
-        jsonio.format_number(bad)
-    values = np.ones(shape)
-    values[(-1,) * len(shape)] = bad
-    values = values.tolist()  # nested lists of floats, the last one bad
-    with pytest.raises(ValueError) as got:
-        jsonio.dumps({"payload": values})
-    assert str(got.value) == str(expected.value)
-
-
 @pytest.mark.parametrize("x", EDGE_VALUES)
-def test_scalars_and_nested_dicts_match_format_number(x):
-    text = jsonio.format_number(x)
+def test_floats_are_written_in_17_digits(x):
     for value in (float(x), np.float64(x)):
-        assert jsonio.dumps(value) == text
-        nested = {"a": {"b": value, "c": [value, {"d": value}]}, "e": value}
-        assert jsonio.dumps(nested) == '{"a": {"b": %s, "c": [%s, {"d": %s}]}, "e": %s}' % ((text,) * 4)
+        text = jsonio.dumps(value)
+        assert text == "%.17g" % x
+        assert float(text) == x and math.copysign(1.0, float(text)) == math.copysign(1.0, x)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_scalars_raise_format_number_message(bad):
-    with pytest.raises(ValueError) as expected:
-        jsonio.format_number(bad)
-    for value in (bad, np.float64(bad), {"a": {"b": bad}}, {"a": [np.float64(bad)]}):
+def test_non_finite_floats_raise(bad):
+    for value in (bad, np.float64(bad)):
         with pytest.raises(ValueError) as got:
             jsonio.dumps(value)
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == f"non-finite number in JSON output: {bad!r}"
+
+
+@pytest.mark.parametrize("text", ["", "NearPiRotation: trace + 1 = 0.0", 'a "quoted" word', "back\\slash",
+                                  "two\nlines", '\\"\n\\\\"'])
+def test_strings_read_back_unchanged(text):
+    quoted = jsonio.dumps(text)
+    assert quoted.startswith('"') and json.loads(quoted) == text

@@ -24,13 +24,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lorentzpol as lp
-from lorentzpol import jsonio, lorentz, probes, rotation
+from lorentzpol import lorentz, probes, rotation
 from lorentzpol.algebra import (MuellerClass, _canonical, _check_tolerance, _classify, _det4, _lorentz_entries,
                                 _max_deviation, _numbers)
 from lorentzpol.errors import (DegenerateTrace, NearPiRotation, NonPositiveIntensity, NonRealResult, NormViolation,
                                NotRotation, SingularNormalization)
 
-from conftest import normalized_spinors, unit_quaternions
+from conftest import normalized_spinors, reference_dumps, unit_quaternions
 
 
 # --- reference forms --------------------------------------------------------------------------
@@ -429,7 +429,8 @@ def built(intensity, vectors):
 
 def reference_built(intensity, vectors):
     intensity, (f, a, b, c) = ref_stokes(intensity, *vectors)
-    return intensity, (f, a, b, c), jsonio.dumps({"intensity": intensity, "outputs": {"F": f, "A": a, "B": b, "C": c}})
+    return intensity, (f, a, b, c), reference_dumps({"intensity": intensity,
+                                                     "outputs": {"F": f, "A": a, "B": b, "C": c}})
 
 
 @settings(max_examples=600)
