@@ -4,7 +4,8 @@
 Sweeps the detector noise level for a compound element (boost composed
 with a rotation), averaging over seeds, and prints CSV with the Minkowski
 residual level, the parameter error and the round-trip rebuild error.
-The raw formulas are linear, so both errors should scale like sigma/I.
+The reconstruction is linear in the outputs, so both errors should scale
+like sigma/I.
 """
 
 import argparse

@@ -65,12 +65,6 @@ def _max_deviation(a, b) -> float:
     return max(map(abs, map(operator.sub, a, b[0] + b[1] + b[2] + b[3])))
 
 
-def _square(v) -> complex:
-    """v.v of three complex numbers, without conjugation."""
-    v0, v1, v2 = v
-    return v0 * v0 + v1 * v1 + v2 * v2
-
-
 def _number(e, what: str, kind: type = float):
     """One entry as a float (kind float) or complex number (kind complex) by float(), which keeps signed zeros;
     TypeError naming what for a string (float() reads it), a complex value where reals belong (also in a numpy
@@ -314,7 +308,8 @@ def lorentz_from_k(k):
 
 
 def _k_from_q(q) -> list:
-    denom = 1.0 - _square(q)
+    q0, q1, q2 = q
+    denom = 1.0 - (q0 * q0 + q1 * q1 + q2 * q2)  # q.q without conjugation
     if abs(denom) < 1e-12:
         raise SingularParameter(f"1 - q.q = {denom!r} is singular")
     k0 = 1.0 / cmath.sqrt(denom)  # principal branch: Re(k0) >= 0

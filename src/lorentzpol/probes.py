@@ -35,16 +35,8 @@ _JSON = '{"intensity": %s, "outputs": {"F": %s, "A": %s, "B": %s, "C": %s}}' % (
     jsonio.NUMBER, *("[" + ", ".join([jsonio.NUMBER] * 4) + "]",) * 4)
 
 
-def _parse_int(text: str) -> float:
-    """An int literal as a float: "-0" as the -0.0 that %.17g writes that way, and one past the float range
-    raises OverflowError (a malformed file) instead of reading as inf."""
-    try:
-        return -0.0 if text == "-0" else float(int(text))
-    except ValueError:  # int() refuses a literal past 4300 digits, far past the float range
-        raise OverflowError("int too large to convert to float") from None
-
-
-_DECODER = json.JSONDecoder(parse_int=_parse_int)  # json's reader, with int literals read as floats
+# json's reader, with int literals read by float(): "-0" as -0.0, and one past the float range as +-inf (as 1e400)
+_DECODER = json.JSONDecoder(parse_int=float)
 
 
 class NoiseSpec(_Value):
@@ -93,7 +85,9 @@ class MeasurementSet(_Value):
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSet":
-        """Parse a measurement JSON text; ValueError if it is malformed or out of range."""
+        """Parse a measurement JSON text; ValueError if it is malformed or out of range, TypeError if it is no str."""
+        if not isinstance(text, str):  # the decoder's own error on bytes names its regex, not the input
+            raise TypeError(f"measurement JSON must be a str, not {type(text).__name__}")
         try:
             data = _DECODER.decode(text)
             intensity, outputs = data["intensity"], data["outputs"]
@@ -107,12 +101,11 @@ class MeasurementSet(_Value):
             raise
         except KeyError as exc:
             raise ValueError(f"malformed measurement JSON: missing {exc}") from exc
-        # a non-numeric, string or boolean entry, an int past the float range, an output of the wrong shape, or
-        # nesting past the recursion limit; the envelope's ValueError, raised by _store, is not malformed JSON
-        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
-            # a file or an "outputs" that is no object fails on a subscript (data is bound: a str text was decoded)
-            if type(exc) is TypeError and isinstance(text, str) and not (
-                    type(data) is dict and type(data["outputs"]) is dict):
+        # a non-numeric, string or boolean entry, an output of the wrong shape, or nesting past the recursion
+        # limit; the envelope's ValueError, raised by _store, is not malformed JSON
+        except (TypeError, ValueError, RecursionError) as exc:
+            # a file or an "outputs" that is no object fails on a subscript (data is bound: the text was decoded)
+            if type(exc) is TypeError and not (type(data) is dict and type(data["outputs"]) is dict):
                 raise ValueError('malformed measurement JSON: expected an object with "intensity" and "outputs", and'
                                  ' "outputs" an object holding "F", "A", "B" and "C"') from exc
             raise ValueError(f"malformed measurement JSON: {exc}") from exc
@@ -134,14 +127,10 @@ def _probe_intensity(intensity: float) -> float:
     return i
 
 
-def _probes(intensity: float) -> list:
-    i = _probe_intensity(intensity)
-    return [(i, 0.0, 0.0, 0.0), (i, i, 0.0, 0.0), (i, 0.0, i, 0.0), (i, 0.0, 0.0, i)]
-
-
 def probe_set(intensity: float) -> list:
     """The four probe Stokes vectors at the given intensity."""
-    return [_array(p) for p in _probes(intensity)]
+    i = _probe_intensity(intensity)
+    return [_array(p) for p in [(i, 0.0, 0.0, 0.0), (i, i, 0.0, 0.0), (i, 0.0, i, 0.0), (i, 0.0, 0.0, i)]]
 
 
 def _noisy(out: tuple, u, sigma: float) -> tuple:

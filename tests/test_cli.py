@@ -558,6 +558,23 @@ def test_classify_auto_and_rotation_share_one_rotation_gate(ms):
     assert (code == 5) == (classified == 5)
 
 
+# README's rapidity envelope of a simulated boost: past beta = 18 the simulated element itself leaves the group
+# in floats (cosh^2 - sinh^2 is -3.0 at beta = 19 and 0.0 at 20), and at 25 the rebuild's norm check fails too
+@pytest.mark.parametrize("beta, classification, round_trip_error", [
+    ("15", "lorentz", None), ("17", "lorentz", None), ("18", "lorentz", None),
+    ("19", "not-lorentzian", None), ("20", "not-lorentzian", None),
+    ("25", "not-lorentzian", "NormViolation: "), ("30", "not-lorentzian", None),
+])
+def test_simulated_boost_rapidity_envelope(capsys, beta, classification, round_trip_error):
+    _, text, _ = run_cli(capsys, "simulate", "--boost", "3", "--beta", beta)
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        code, out, err = cli._recover_one("-", "auto", 1e-9)
+    report = json.loads(out)
+    assert (code, err, report["classification"]) == (0, "", classification)
+    error = report.get("round_trip_error")
+    assert error is None if round_trip_error is None else error.startswith(round_trip_error)
+
+
 @pytest.mark.parametrize("model", ["auto", "lorentz", "rotation", "raw"])
 def test_report_writer_raises_the_dumps_error_on_nan(model):
     ms = lp.simulate_measurements(np.eye(4), 1.0)

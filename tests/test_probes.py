@@ -366,31 +366,54 @@ def test_json_rejects_malformed_input():
         )
 
 
-HUGE_INT = "1" + "0" * 400  # past the float range: float() raises OverflowError
-PAST_INT_LIMIT = "1" + "0" * 5000  # past int()'s 4300-digit limit for a string
+def _measurement_text(intensity, f):
+    return (f'{{"intensity": {intensity}, "outputs": {{"F": {f}, "A": [1, 1, 0, 0],'
+            f' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}}}')
 
 
 @pytest.mark.parametrize("intensity, f", [
     ("1", '{"a": 1}'), ("1", "[1, 0, 0, {}]"), ("[1]", "[1, 0, 0, 0]"),
-    (HUGE_INT, "[1, 0, 0, 0]"), ("1", f"[{HUGE_INT}, 0, 0, 0]"),
     ('"1"', "[1, 0, 0, 0]"), ("1", '[1, "0", 0, 0]'),
-    (PAST_INT_LIMIT, "[1, 0, 0, 0]"), ("true", "[1, 0, 0, 0]"), ("1", "[1, false, 0, 0]"),
+    ("true", "[1, 0, 0, 0]"), ("1", "[1, false, 0, 0]"),
     ("1", "[1, 0, 0]"), ("1", "1"), ("1", "true"), ("1", "[[1, 0, 0, 0]]"),
-], ids=["dict_vector", "dict_entry", "list_intensity", "huge_intensity", "huge_entry",
-        "string_intensity", "string_entry", "past_int_limit_intensity", "true_intensity", "false_entry",
-        "short_vector", "number_vector", "true_vector", "nested_vector"])
+], ids=["dict_vector", "dict_entry", "list_intensity", "string_intensity", "string_entry", "true_intensity",
+        "false_entry", "short_vector", "number_vector", "true_vector", "nested_vector"])
 def test_json_rejects_non_numeric_entries(intensity, f):
-    # the TypeError or OverflowError of such an entry, or a string that float() would
-    # read, or a boolean that the constructor would, or an output of the wrong shape,
-    # becomes the ValueError of every malformed file, and its message does not call
-    # the entry missing
-    text = (f'{{"intensity": {intensity}, "outputs": {{"F": {f}, "A": [1, 1, 0, 0],'
-            f' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}}}')
+    # the TypeError of such an entry, or a string that float() would read, or a boolean
+    # that the constructor would, or an output of the wrong shape, becomes the ValueError
+    # of every malformed file, and its message does not call the entry missing
     with pytest.raises(ValueError, match="^malformed measurement JSON: ") as info:
-        lp.MeasurementSet.from_json(text)
+        lp.MeasurementSet.from_json(_measurement_text(intensity, f))
     assert "missing" not in str(info.value)
-    if intensity == PAST_INT_LIMIT:  # as a literal inside int()'s limit ends
-        assert str(info.value) == "malformed measurement JSON: int too large to convert to float"
+
+
+HUGE_INT = "1" + "0" * 400  # past the float range
+PAST_INT_LIMIT = "1" + "0" * 5000  # past int()'s 4300-digit limit for a string
+
+
+def test_json_reads_every_number_as_float_does():
+    # an integer literal past the float range, of any length and in any slot, reads as +-inf as 1e400 does,
+    # and the envelope refuses it with the ValueError the constructor gives for 1e400
+    with pytest.raises(ValueError, match="^measurements must be finite and in range") as envelope:
+        lp.MeasurementSet(1e400, [1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1])
+    for intensity, f in [(HUGE_INT, "[1, 0, 0, 0]"), (PAST_INT_LIMIT, "[1, 0, 0, 0]"), ("1e400", "[1, 0, 0, 0]"),
+                         ("1", f"[{HUGE_INT}, 0, 0, 0]"), ("1", f"[1, -{PAST_INT_LIMIT}, 0, 0]")]:
+        with pytest.raises(ValueError) as info:
+            lp.MeasurementSet.from_json(_measurement_text(intensity, f))
+        assert str(info.value) == str(envelope.value), (intensity, f)
+    # "-0", as %.17g writes -0.0, reads as -0.0
+    back = lp.MeasurementSet.from_json(_measurement_text("1", "[1, -0, 0, -0]"))
+    assert [math.copysign(1.0, x) for x in back.stokes[0]] == [1.0, -1.0, 1.0, -1.0]
+
+
+VALID_TEXT = _measurement_text("1", "[1, 0, 0, 0]")
+
+
+@pytest.mark.parametrize("text", [VALID_TEXT.encode(), bytearray(VALID_TEXT.encode()), 5, None],
+                         ids=["bytes", "bytearray", "int", "none"])
+def test_from_json_takes_only_a_str(text):
+    with pytest.raises(TypeError, match=f"^measurement JSON must be a str, not {type(text).__name__}$"):
+        lp.MeasurementSet.from_json(text)
 
 
 def test_json_rejects_deep_nesting():
