@@ -371,36 +371,48 @@ def _measurement_text(intensity, f):
             f' "B": [1, 0, 1, 0], "C": [1, 0, 0, 1]}}}}')
 
 
-@pytest.mark.parametrize("intensity, f", [
-    ("1", '{"a": 1}'), ("1", "[1, 0, 0, {}]"), ("[1]", "[1, 0, 0, 0]"),
-    ('"1"', "[1, 0, 0, 0]"), ("1", '[1, "0", 0, 0]'),
-    ("true", "[1, 0, 0, 0]"), ("1", "[1, false, 0, 0]"),
-    ("1", "[1, 0, 0]"), ("1", "1"), ("1", "true"), ("1", "[[1, 0, 0, 0]]"),
-], ids=["dict_vector", "dict_entry", "list_intensity", "string_intensity", "string_entry", "true_intensity",
-        "false_entry", "short_vector", "number_vector", "true_vector", "nested_vector"])
-def test_json_rejects_non_numeric_entries(intensity, f):
-    # the TypeError of such an entry, or a string that float() would read, or a boolean
-    # that the constructor would, or an output of the wrong shape, becomes the ValueError
-    # of every malformed file, and its message does not call the entry missing
-    with pytest.raises(ValueError, match="^malformed measurement JSON: ") as info:
-        lp.MeasurementSet.from_json(_measurement_text(intensity, f))
-    assert "missing" not in str(info.value)
-
-
 HUGE_INT = "1" + "0" * 400  # past the float range
 PAST_INT_LIMIT = "1" + "0" * 5000  # past int()'s 4300-digit limit for a string
 
 
-def test_json_reads_every_number_as_float_does():
-    # an integer literal past the float range, of any length and in any slot, reads as +-inf as 1e400 does,
-    # and the envelope refuses it with the ValueError the constructor gives for 1e400
+def _out_of_range_message():
+    # the ValueError the constructor gives for an intensity of 1e400
     with pytest.raises(ValueError, match="^measurements must be finite and in range") as envelope:
         lp.MeasurementSet(1e400, [1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1])
-    for intensity, f in [(HUGE_INT, "[1, 0, 0, 0]"), (PAST_INT_LIMIT, "[1, 0, 0, 0]"), ("1e400", "[1, 0, 0, 0]"),
-                         ("1", f"[{HUGE_INT}, 0, 0, 0]"), ("1", f"[1, -{PAST_INT_LIMIT}, 0, 0]")]:
+    return str(envelope.value)
+
+
+@pytest.mark.parametrize("intensity, f, numeric", [
+    ("1", '{"a": 1}', False), ("1", "[1, 0, 0, {}]", False), ("[1]", "[1, 0, 0, 0]", False),
+    (HUGE_INT, "[1, 0, 0, 0]", True), ("1", f"[{HUGE_INT}, 0, 0, 0]", True),
+    ('"1"', "[1, 0, 0, 0]", False), ("1", '[1, "0", 0, 0]', False),
+    (PAST_INT_LIMIT, "[1, 0, 0, 0]", True), ("true", "[1, 0, 0, 0]", False), ("1", "[1, false, 0, 0]", False),
+    ("1", "[1, 0, 0]", False), ("1", "1", False), ("1", "true", False), ("1", "[[1, 0, 0, 0]]", False),
+], ids=["dict_vector", "dict_entry", "list_intensity", "huge_intensity", "huge_entry",
+        "string_intensity", "string_entry", "past_int_limit_intensity", "true_intensity", "false_entry",
+        "short_vector", "number_vector", "true_vector", "nested_vector"])
+def test_json_rejects_non_numeric_entries(intensity, f, numeric):
+    # the TypeError of such an entry, or a string that float() would read, or a boolean
+    # that the constructor would, or an output of the wrong shape, becomes the ValueError
+    # of every malformed file, and its message does not call the entry missing; an integer
+    # literal past the float range is numeric, of any length: it reads as inf as 1e400 does
+    # and meets the envelope's ValueError instead
+    with pytest.raises(ValueError) as info:
+        lp.MeasurementSet.from_json(_measurement_text(intensity, f))
+    if numeric:
+        assert str(info.value) == _out_of_range_message()
+    else:
+        assert str(info.value).startswith("malformed measurement JSON: ")
+        assert "missing" not in str(info.value)
+
+
+def test_json_reads_every_number_as_float_does():
+    # 1e400 and a negative integer literal past int()'s limit read as +-inf and meet the envelope
+    # as the over-range integers of test_json_rejects_non_numeric_entries do
+    for intensity, f in [("1e400", "[1, 0, 0, 0]"), ("1", f"[1, -{PAST_INT_LIMIT}, 0, 0]")]:
         with pytest.raises(ValueError) as info:
             lp.MeasurementSet.from_json(_measurement_text(intensity, f))
-        assert str(info.value) == str(envelope.value), (intensity, f)
+        assert str(info.value) == _out_of_range_message(), (intensity, f)
     # "-0", as %.17g writes -0.0, reads as -0.0
     back = lp.MeasurementSet.from_json(_measurement_text("1", "[1, -0, 0, -0]"))
     assert [math.copysign(1.0, x) for x in back.stokes[0]] == [1.0, -1.0, 1.0, -1.0]
