@@ -27,7 +27,7 @@ probe layout.  delta, M, N, k and q come out as Python float and complex scalars
 are built only when a caller reads them, and Lambda is never built.  The kernels
 _read, _extract, _recover and _round_trip take the rows, which the CLI computes once per
 set; the public functions reconstruct them and wrap the kernels' results.  tests/test_kernels.py
-checks the kernels bit for bit against comprehension forms.
+checks the kernels against the formulas in exact arithmetic, at the error bounds README states.
 """
 
 from __future__ import annotations
