@@ -23,7 +23,6 @@ from .errors import (
     NonPositiveIntensity,
     NonRealResult,
     NormViolation,
-    NotRotation,
     NotRotationType,
     SingularNormalization,
     SingularParameter,
@@ -72,7 +71,6 @@ __all__ = [
     "NonPositiveIntensity",
     "NonRealResult",
     "NormViolation",
-    "NotRotation",
     "NotRotationType",
     "SingularNormalization",
     "SingularParameter",

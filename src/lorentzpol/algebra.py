@@ -264,8 +264,9 @@ def _lorentz_entries(k) -> list:
     p12, p13, p23 = x1 * x2 + y1 * y2, x1 * x3 + y1 * y3, x2 * x3 + y2 * y3
     b = sq1 + sq2 + sq3
     # 2*Im(k0*conj(kj)), i*(kvec x conj(kvec))_j, 2*Re(k0*conj(kl)), 2*Re(ki*conj(kj))
+    # (s is kept off -0.0, so the sign of a zero v never reaches an entry s +- v)
     s1, s2, s3 = 0.0 - 2.0 * (x0 * y1 - x1 * y0), 0.0 - 2.0 * (x0 * y2 - x2 * y0), 0.0 - 2.0 * (x0 * y3 - x3 * y0)
-    v1, v2, v3 = 0.0 - 2.0 * (x3 * y2 - x2 * y3), 0.0 - 2.0 * (x1 * y3 - x3 * y1), 0.0 - 2.0 * (x2 * y1 - x1 * y2)
+    v1, v2, v3 = -2.0 * (x3 * y2 - x2 * y3), -2.0 * (x1 * y3 - x3 * y1), -2.0 * (x2 * y1 - x1 * y2)
     w1, w2, w3 = p01 + p01, p02 + p02, p03 + p03
     r12, r13, r23 = p12 + p12, p13 + p13, p23 + p23
     d = sq0 - b
@@ -278,7 +279,7 @@ def _lorentz_entries(k) -> list:
     # A NaN or inf in k reaches L[0,0] = sum |kj|^2, and no entry or intermediate exceeds 2*L[0,0]
     # in size, so only a huge or non-finite L[0,0] can come with a non-finite entry
     if not out[0] < 1e300 and not all(map(math.isfinite, out)):
-        raise NonRealResult("matrix has imaginary residue nan (tolerance 1.0e-09)")
+        raise NonRealResult(f"rebuild from k has a non-finite entry, L[0,0] = {out[0]!r}")
     return out
 
 

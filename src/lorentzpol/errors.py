@@ -12,9 +12,9 @@ class NormViolation(LorentzpolError):
 
 
 class NonRealResult(LorentzpolError):
-    """The rebuild from k has a non-finite entry: k has a NaN or infinite part, or overflows; exit 4.
+    """The rebuild from k has a non-finite entry: k has a NaN or infinite part, or its products overflow; exit 4.
 
-    Every finite k gives a real matrix, so an imaginary residue shows only as NaN.
+    Every finite k gives a real matrix; the rebuild computes no imaginary part, and its message gives L[0,0].
     """
 
 
@@ -29,19 +29,13 @@ class NonPositiveIntensity(LorentzpolError):
 
 
 class NotRotationType(LorentzpolError):
-    """Measurements do not classify as rotation-type; the rotation branch does not apply; exit 5."""
+    """Measurements, or a 3x3 matrix, do not classify as rotation-type; the rotation branch does not apply; exit 5."""
 
     exit_code = 5
 
 
 class NotLorentzType(LorentzpolError):
     """Measurements do not classify as Lorentz-type; the general branch does not apply; exit 5."""
-
-    exit_code = 5
-
-
-class NotRotation(LorentzpolError):
-    """A 3x3 matrix is not orthogonal with determinant +1; exit 5."""
 
     exit_code = 5
 

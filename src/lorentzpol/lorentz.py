@@ -78,6 +78,8 @@ def _read(rows: list) -> tuple[float, list, list]:
     """The trace of the reconstructed matrix and the numerators of M and N, read off its rows."""
     (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = rows
     trace = r00 + r11 + r22 + r33
+    if 1e-10 < trace < 2e-15 * max(abs(r00), abs(r11), abs(r22), abs(r33)):  # cancelled to its rounding error
+        trace = math.fsum((r00, r11, r22, r33))
     m = [0.0 - (r10 + r01), 0.0 - (r20 + r02), 0.0 - (r30 + r03)]  # 0.0 - keeps +0.0 where both entries vanish
     n = [r32 - r23, r13 - r31, r21 - r12]
     return trace, m, n

@@ -3,15 +3,16 @@
 For rotation-type elements the natural probe passes through unchanged and
 the three polarized probes keep their full intensity, so the 3x3 block is
 read off directly; the quaternion follows from its trace and antisymmetric
-part.  Whether a set is rotation-type is is_lorentzian's decision alone.
+part.  Whether a set, or a 3x3 matrix R as diag(1, R), is rotation-type is
+is_lorentzian's decision alone.
 """
 
 from __future__ import annotations
 
 import math
 
-from .algebra import _array, _check_tolerance, _classify, _numbers, _require
-from .errors import NearPiRotation, NotRotation
+from .algebra import MuellerClass, _array, _check_tolerance, _classify, _embed, _numbers, _require
+from .errors import NearPiRotation, NotRotationType
 from .probes import MeasurementSet, _mueller_rows
 
 
@@ -45,30 +46,21 @@ def _quaternion(rows: list) -> list:
 def recover_quaternion(r):
     """Unit quaternion (n0 >= 0) of a proper rotation matrix.
 
-    The NotRotation gate is the seven conditions for an orthonormal
-    right-handed output triad, applied to the columns p1, p2, p3 of r, which
-    are the triad that rotation_from_measurements returns: three unit norms
-    (p_i . p_i = 1), three orthogonalities (p_i . p_j = 0) and the handedness
-    p1 . (p2 x p3) = det r = +1, each within 1e-6.
-
-    n0 comes from the trace, the axis part from the antisymmetric part:
+    r is a rotation exactly when is_lorentzian(embed_rotation(r), 1e-6) is
+    ROTATION: its columns orthonormal within 1e-6 * max(1, max|r|)^2
+    (strictly) and det r > 0.  n0 comes from the trace, the axis part from
+    the antisymmetric part:
 
         2*n0 = sqrt(trace + 1)
         n    = (r[2,1]-r[1,2], r[0,2]-r[2,0], r[1,0]-r[0,1]) / (2*sqrt(trace+1))
 
-    Raises NotRotation when a triad condition fails, and NearPiRotation when
-    trace + 1 <= 1e-8, where this extraction divides by zero (rotations within
-    about 1e-4 rad of pi).
+    Raises NotRotationType for any other r, NaN included, and NearPiRotation
+    when trace + 1 <= 1e-8, where this extraction divides by zero (rotations
+    within about 1e-4 rad of pi).
     """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows = _numbers(r, (3, 3), "rotation matrix")
-    # |(R^T R - 1)[i, j]| for j >= i, the diagonal first, and det R along the first row
-    ortho_dev = max(
-        abs(r00 * r00 + r10 * r10 + r20 * r20 - 1.0), abs(r01 * r01 + r11 * r11 + r21 * r21 - 1.0),
-        abs(r02 * r02 + r12 * r12 + r22 * r22 - 1.0), abs(r00 * r01 + r10 * r11 + r20 * r21),
-        abs(r00 * r02 + r10 * r12 + r20 * r22), abs(r01 * r02 + r11 * r12 + r21 * r22))
-    det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
-    if not (ortho_dev <= 1e-6 and abs(det - 1.0) <= 1e-6):
-        raise NotRotation(f"not a proper rotation: |R^T R - 1| = {ortho_dev:.3e}, det = {det:.6f}")
+    rows = _numbers(r, (3, 3), "rotation matrix")
+    if _classify(_embed(rows), 1e-6) is not MuellerClass.ROTATION:
+        raise NotRotationType(f"not a proper rotation: {[list(row) for row in rows]} at tol 1e-06")
     return _array(_quaternion(rows))
 
 

@@ -202,9 +202,9 @@ def test_lorentz_preserves_minkowski_norm(k):
 def test_lorentz_from_k_rejects_non_real_entries():
     # in scalar arithmetic every entry of a finite k comes out exactly real;
     # a NaN component passes the norm check (its norm is NaN) and must
-    # be caught by the realness check instead of returning a NaN matrix
+    # be caught by the finiteness check instead of returning a NaN matrix
     for bad in (np.nan, complex(0.0, np.nan)):
-        with pytest.raises(lp.NonRealResult, match="imaginary residue nan"):
+        with pytest.raises(lp.NonRealResult, match=r"^rebuild from k has a non-finite entry, L\[0,0\] = nan$"):
             lp.lorentz_from_k([1.0, 0.0, 0.0, bad])
 
 

@@ -1,12 +1,15 @@
-"""The public surface: every callable in lorentzpol.__all__ with its parameters and defaults.
+"""The public surface: every callable in lorentzpol.__all__ with its parameters and defaults,
+every exception class in it with its exit code, and README's library example.
 
 A new parameter, a changed default or a new public function fails here, so a tolerance or
 any other knob is added only by editing this table.  Exception classes and MuellerClass are
-left out: their signatures are Python's own.
+left out of it: their signatures are Python's own.
 """
 
 import enum
 import inspect
+import re
+from pathlib import Path
 
 import lorentzpol as lp
 
@@ -41,6 +44,22 @@ SIGNATURES = {
 }
 
 
+# README's exit-code table: the exit_code of each exception class in lorentzpol.__all__
+EXIT_CODES = {
+    "DegenerateTrace": 4,
+    "LorentzpolError": 4,
+    "NearPiRotation": 4,
+    "NonPositiveIntensity": 3,
+    "NonRealResult": 4,
+    "NormViolation": 4,
+    "NotRotationType": 5,
+    "SingularNormalization": 4,
+    "SingularParameter": 4,
+}
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 # The public attributes of the value classes: fields, array views, properties and methods.  A method added to or
 # removed from one of them fails here.
 ATTRIBUTES = {
@@ -70,3 +89,17 @@ def public_attributes(cls) -> list:
 
 def test_value_class_attributes():
     assert {name: public_attributes(getattr(lp, name)) for name in ATTRIBUTES} == ATTRIBUTES
+
+
+def test_exception_exit_codes():
+    public = {name: getattr(lp, name) for name in lp.__all__}
+    assert {name: obj.exit_code for name, obj in public.items()
+            if isinstance(obj, type) and issubclass(obj, Exception)} == EXIT_CODES
+
+
+def test_readme_python_examples_run():
+    # an example naming a removed function, class or parameter fails here
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -435,8 +435,8 @@ def _reference_recover(ms, model, tol):
     values = [residuals.r0, residuals.r1, residuals.r2, residuals.r3]
 
     def rotation_payload():
-        # rotation_from_measurements applies the one rotation gate, is_lorentzian's.  The CLI applies no
-        # triad gate, so the quaternion is recover_quaternion's extraction without it
+        # rotation_from_measurements applies the one rotation gate, is_lorentzian's at tol.  The CLI does not
+        # apply recover_quaternion's fixed 1e-6 one, so the quaternion is recover_quaternion's extraction without it
         block = lp.rotation_from_measurements(ms, tol)
         quaternion = rotation._quaternion(block.tolist())
         n0, n1, n2, n3 = quaternion

@@ -93,7 +93,7 @@ def test_recover_quaternion_documented_pi_boundary(gap, singular):
     (E1, (E1 + E2) / np.sqrt(2.0), E3),
 ], ids=["scaled", "left_handed", "one_scaled_column", "non_orthogonal"])
 def test_recover_quaternion_rejects_non_rotations(columns):
-    with pytest.raises(lp.NotRotation):
+    with pytest.raises(lp.NotRotationType, match=r"^not a proper rotation: \[\["):
         lp.recover_quaternion(np.column_stack(columns))
 
 
